@@ -3,6 +3,7 @@
 
 use qoserve::prelude::*;
 use qoserve_sim::{forall, Rng};
+use qoserve_trace::{to_jsonl, Tracer};
 
 fn hw() -> HardwareConfig {
     HardwareConfig::llama3_8b_a100_tp1()
@@ -129,6 +130,170 @@ fn conservation_over_random_workloads() {
         assert_eq!(outcomes.len(), n);
         check_outcome_consistency(&outcomes);
     });
+}
+
+/// FNV-1a, 64-bit: a dependency-free digest for the decision pins.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Digest of every outcome's integer fields, in outcome order.
+fn outcome_digest(outcomes: &[RequestOutcome]) -> u64 {
+    let micros = |t: Option<SimTime>| t.map_or(u64::MAX, |t| t.as_micros());
+    outcomes.iter().fold(FNV_OFFSET, |h, o| {
+        [
+            o.spec.id.0,
+            micros(o.first_token),
+            micros(o.completion),
+            o.max_tbt.as_micros(),
+            o.worst_token_lateness.as_micros() as u64,
+            u64::from(o.relegated),
+            u64::from(o.replica),
+            o.disposition as u64,
+        ]
+        .iter()
+        .fold(h, |h, v| fnv1a(h, &v.to_le_bytes()))
+    })
+}
+
+/// Every scheduler the bins build, run on one overloaded single-replica
+/// trace with a free-tier share (so relegation and rate-limit rejection
+/// fire), pinned by a digest of its outcomes and of its decision trace.
+/// Any change to a scheduler's decision sequence (batch fill, ordering,
+/// chunking, relegation, admission) or to the engine's KV admission
+/// moves a digest. A deliberate behaviour change re-records the table
+/// from the failure message.
+#[test]
+fn scheduler_decisions_are_pinned() {
+    let trace = TraceBuilder::new(Dataset::sharegpt())
+        .arrivals(ArrivalProcess::poisson(50.0))
+        .num_requests(150)
+        .paper_tier_mix()
+        .low_priority_fraction(0.3)
+        .build(&SeedStream::new(15));
+    let sarathi = |policy| SchedulerSpec::Sarathi { policy, chunk: 256 };
+    // (label, scheduler, outcome digest, trace JSONL digest)
+    let pins = [
+        (
+            "Sarathi-FCFS",
+            sarathi(OrderPolicy::Fcfs),
+            0xa402_22b7_9f5c_1f36,
+            0x6243_0a64_0daa_9c61,
+        ),
+        (
+            "Sarathi-SJF",
+            sarathi(OrderPolicy::Sjf),
+            0xc2aa_4c6d_f941_b460,
+            0x7419_92a4_efe5_9514,
+        ),
+        (
+            "Sarathi-SRPF",
+            sarathi(OrderPolicy::Srpf),
+            0x306b_86f7_3904_92cc,
+            0x8ac2_f00e_17c0_bb83,
+        ),
+        (
+            "Sarathi-EDF",
+            sarathi(OrderPolicy::Edf),
+            0x787c_1c94_1054_254c,
+            0x631b_a3b9_9af1_dbc8,
+        ),
+        (
+            "QoServe",
+            SchedulerSpec::qoserve(),
+            0x77c2_4abb_2320_fa92,
+            0x0695_3ae9_4ce5_0371,
+        ),
+        (
+            "QoServe (DC)",
+            SchedulerSpec::qoserve_with(QoServeConfig::ablation_dc()),
+            0xbedd_ad91_6c1c_531d,
+            0x68a5_829e_5d77_d9d5,
+        ),
+        (
+            "QoServe (DC+ER)",
+            SchedulerSpec::qoserve_with(QoServeConfig::ablation_dc_er()),
+            0x10fa_a5a9_0961_3adf,
+            0x0df7_254c_3e19_86e6,
+        ),
+        (
+            "QoServe adaptive",
+            SchedulerSpec::qoserve_adaptive(),
+            0x77c2_4abb_2320_fa92,
+            0xcc1a_2f2d_459d_ed86,
+        ),
+        (
+            "Medha",
+            SchedulerSpec::Medha {
+                config: MedhaConfig::default(),
+                predictor: PredictorKind::Analytical,
+            },
+            0x2489_5dd4_607d_86b5,
+            0xa674_019e_dacb_286e,
+        ),
+        (
+            "ConServe",
+            SchedulerSpec::ConServe { chunk: 256 },
+            0x976b_6127_909f_a63b,
+            0xe982_a62e_1e78_8d25,
+        ),
+        (
+            "SLOs-Serve",
+            SchedulerSpec::SlosServe {
+                config: SlosServeConfig::default(),
+            },
+            0xafb8_2b12_d116_6915,
+            0x2a4d_b83d_4235_eeac,
+        ),
+        (
+            "RateLimited",
+            SchedulerSpec::RateLimited {
+                inner: Box::new(SchedulerSpec::sarathi_fcfs()),
+                max_backlog_tokens: 90_000,
+            },
+            0x7201_66de_fca7_5360,
+            0x77cc_01a4_18fe_7ee0,
+        ),
+        (
+            "DeadlineAware",
+            SchedulerSpec::deadline_aware(SchedulerSpec::qoserve_adaptive()),
+            0x77c2_4abb_2320_fa92,
+            0xcc1a_2f2d_459d_ed86,
+        ),
+    ];
+    let config = ClusterConfig::new(hw());
+    let mut report = String::new();
+    let mut relegated = 0;
+    let mut rejected = 0;
+    for (label, spec, outcome_pin, trace_pin) in &pins {
+        let tracer = Tracer::unbounded();
+        let outcomes = run_shared_traced(&trace, 1, spec, &config, &SeedStream::new(15), &tracer);
+        assert_eq!(outcomes.len(), trace.len(), "{label}");
+        relegated += outcomes.iter().filter(|o| o.relegated).count();
+        rejected += outcomes
+            .iter()
+            .filter(|o| o.disposition == Disposition::Rejected)
+            .count();
+        let jsonl = to_jsonl(&tracer.snapshot(), tracer.dropped());
+        let got = (
+            outcome_digest(&outcomes),
+            fnv1a(FNV_OFFSET, jsonl.as_bytes()),
+        );
+        if got != (*outcome_pin, *trace_pin) {
+            report.push_str(&format!("{label}: {:#018x}, {:#018x}\n", got.0, got.1));
+        }
+    }
+    assert!(report.is_empty(), "scheduler decisions changed:\n{report}");
+    assert!(
+        relegated > 0 && rejected > 0,
+        "the trace must overload the replica"
+    );
 }
 
 /// The facade API preserves the same invariants.
