@@ -11,13 +11,12 @@
 //! no more protection than an 1800 s one, and offline work receives
 //! nothing at all under sustained interactive pressure.
 
-use qoserve_sim::SimTime;
-use qoserve_workload::RequestSpec;
+use qoserve_sim::{nums, SimTime};
 
 use crate::job::{DecodeJob, PrefillJob};
 use crate::policy::OrderPolicy;
-use crate::queue::JobQueue;
-use crate::{BatchPlan, Constraints, PrefillAssignment, Scheduler};
+use crate::queue::{JobQueue, Room};
+use crate::{BatchPlan, Constraints, Scheduler};
 
 /// Binary interactive-first scheduler modelling ConServe.
 ///
@@ -55,54 +54,6 @@ impl ConServeScheduler {
     pub fn pending_offline(&self) -> usize {
         self.offline.len()
     }
-
-    /// Fills up to `budget` tokens from `queue` into `plan`.
-    fn fill_from(
-        queue: &mut JobQueue,
-        plan: &mut BatchPlan,
-        budget: &mut u32,
-        kv_left: &mut u64,
-        new_started: &mut usize,
-        max_new: usize,
-    ) {
-        while *budget > 0 && *kv_left > 0 {
-            let mut job = match queue.pop() {
-                Some(j) => j,
-                None => break,
-            };
-            if job.prefill_done == 0 && *new_started >= max_new {
-                let key = OrderPolicy::Fcfs.key(&job);
-                queue.reinsert(job, key);
-                break;
-            }
-            let take = (*budget)
-                .min(job.remaining_tokens())
-                .min((*kv_left).min(u32::MAX as u64) as u32);
-            if take == 0 {
-                let key = OrderPolicy::Fcfs.key(&job);
-                queue.reinsert(job, key);
-                break;
-            }
-            if job.prefill_done == 0 {
-                *new_started += 1;
-            }
-            let context_before = job.prefill_done;
-            job.prefill_done += take;
-            *budget -= take;
-            *kv_left -= take as u64;
-            plan.prefill.push(PrefillAssignment {
-                id: job.id(),
-                tokens: take,
-                context_before,
-                completes_prefill: job.is_complete(),
-                relegated: false,
-            });
-            if !job.is_complete() {
-                let key = OrderPolicy::Fcfs.key(&job);
-                queue.reinsert(job, key);
-            }
-        }
-    }
 }
 
 impl Scheduler for ConServeScheduler {
@@ -125,37 +76,22 @@ impl Scheduler for ConServeScheduler {
         decodes: &[DecodeJob],
         constraints: Constraints,
     ) -> BatchPlan {
-        let mut budget = self.chunk_size.saturating_sub(decodes.len() as u32);
+        let budget = self
+            .chunk_size
+            .saturating_sub(nums::usize_to_u32(decodes.len()));
         let mut plan = BatchPlan {
             prefill: Vec::new(),
             token_budget: budget,
         };
-        if !constraints.allow_prefill {
-            return plan;
-        }
-        let mut kv_left = constraints.kv_headroom_tokens;
-        let mut new_started = 0usize;
-        // Online first; offline only harvests the leftovers.
-        Self::fill_from(
-            &mut self.interactive,
-            &mut plan,
-            &mut budget,
-            &mut kv_left,
-            &mut new_started,
-            constraints.max_new_requests,
-        );
-        Self::fill_from(
-            &mut self.offline,
-            &mut plan,
-            &mut budget,
-            &mut kv_left,
-            &mut new_started,
-            constraints.max_new_requests,
-        );
+        // Online first; offline only harvests what the online jobs leave
+        // of the same room.
+        let mut room = Room::new(constraints, budget);
+        let key = |job: &PrefillJob| OrderPolicy::Fcfs.key(job);
+        self.interactive
+            .fill(&mut plan, &mut room, key, |_, _| false);
+        self.offline.fill(&mut plan, &mut room, key, |_, _| false);
         plan
     }
-
-    fn on_completion(&mut self, _spec: &RequestSpec, _observed_decode_tokens: u32) {}
 
     fn pending_prefills(&self) -> usize {
         self.interactive.len() + self.offline.len()
@@ -175,7 +111,7 @@ impl Scheduler for ConServeScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qoserve_workload::{QosTier, RequestId, Slo};
+    use qoserve_workload::{QosTier, RequestId, RequestSpec, Slo};
 
     fn spec(id: u64, arrival_secs: u64, prompt: u32, tier: QosTier) -> RequestSpec {
         RequestSpec {

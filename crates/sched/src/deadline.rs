@@ -82,28 +82,19 @@ impl<S: Scheduler> DeadlineAwareAdmission<S> {
         &self.estimator
     }
 
-    /// Estimated completion-relevant service time for `job` if it were
-    /// scheduled immediately: remaining prefill for interactive classes
-    /// (their urgency deadline is TTFT), prefill plus the estimated
-    /// decode tail otherwise (TTLT).
-    fn estimated_service(&self, job: &PrefillJob) -> SimDuration {
-        if job.spec.class().is_interactive() {
-            self.estimator.prefill_time(job.remaining_tokens())
-        } else {
-            self.estimator
-                .remaining_time(job.spec.app_id, job.remaining_tokens())
-        }
+    /// The service time the gate judges `job` by. The estimator's rates
+    /// already carry the *base* margin; only the adaptive widening beyond
+    /// it adds pessimism, so a calm system gates exactly like the static
+    /// estimate.
+    fn gated_service(&self, job: &PrefillJob) -> SimDuration {
+        let widened = (self.margin.current() - self.margin.config().base).max(0.0);
+        self.estimator.service_time(job).mul_f64(1.0 + widened)
     }
 
     /// The admission predicate: would `job` miss its deadline even with
     /// the whole machine to itself, under current drift conditions?
     fn provably_misses(&self, job: &PrefillJob, now: SimTime) -> bool {
-        // The estimator's rates already carry the *base* margin; only the
-        // adaptive widening beyond it adds pessimism, so a calm system
-        // gates exactly like the static estimate.
-        let widened = (self.margin.current() - self.margin.config().base).max(0.0);
-        let service = self.estimated_service(job).mul_f64(1.0 + widened);
-        now + service > job.urgency_deadline()
+        now + self.gated_service(job) > job.urgency_deadline()
     }
 }
 
@@ -115,12 +106,10 @@ impl<S: Scheduler> Scheduler for DeadlineAwareAdmission<S> {
     fn on_arrival(&mut self, job: PrefillJob, now: SimTime) {
         if self.provably_misses(&job, now) {
             if self.tracer.enabled() {
-                let widened = (self.margin.current() - self.margin.config().base).max(0.0);
-                let service = self.estimated_service(&job).mul_f64(1.0 + widened);
                 self.tracer.emit(
                     Some(job.id().0),
                     TraceEvent::AdmissionRejected {
-                        estimated_service_us: service.as_micros(),
+                        estimated_service_us: self.gated_service(&job).as_micros(),
                         deadline_us: job.urgency_deadline().as_micros(),
                     },
                 );

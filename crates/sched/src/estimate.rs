@@ -14,6 +14,8 @@ use std::collections::HashMap;
 use qoserve_perf::{BatchProfile, LatencyPredictor};
 use qoserve_sim::{OnlineStats, SimDuration};
 
+use crate::job::PrefillJob;
+
 /// Clamp on recalibration factors: observed/predicted drift outside this
 /// range is treated as its nearest bound rather than trusted verbatim.
 const RECALIBRATION_CLAMP: (f64, f64) = (0.5, 4.0);
@@ -144,6 +146,18 @@ impl ProcessingEstimator {
     pub fn remaining_time(&self, app_id: u32, prefill_remaining: u32) -> SimDuration {
         self.prefill_time(prefill_remaining)
             + self.decode_time(self.estimated_decode_tokens(app_id))
+    }
+
+    /// Service time of `job` if it were scheduled now, measured against
+    /// its urgency deadline: the remaining prefill for interactive
+    /// classes (the deadline is TTFT), prefill plus the estimated decode
+    /// tail otherwise (TTLT).
+    pub fn service_time(&self, job: &PrefillJob) -> SimDuration {
+        if job.spec.class().is_interactive() {
+            self.prefill_time(job.remaining_tokens())
+        } else {
+            self.remaining_time(job.spec.app_id, job.remaining_tokens())
+        }
     }
 
     /// Prefill µs/token rate (diagnostics).

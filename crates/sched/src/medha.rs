@@ -13,13 +13,12 @@
 //! depth and the decode pool.
 
 use qoserve_perf::{ChunkBudget, ChunkLimits, LatencyPredictor};
-use qoserve_sim::{SimDuration, SimTime};
-use qoserve_workload::RequestSpec;
+use qoserve_sim::{nums, SimDuration, SimTime};
 
 use crate::job::{DecodeJob, PrefillJob};
 use crate::policy::OrderPolicy;
-use crate::queue::JobQueue;
-use crate::{BatchPlan, Constraints, PrefillAssignment, Scheduler};
+use crate::queue::{JobQueue, Room};
+use crate::{BatchPlan, Constraints, Scheduler};
 
 /// Configuration of [`MedhaScheduler`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,9 +84,8 @@ impl Scheduler for MedhaScheduler {
         if !constraints.allow_prefill {
             return plan;
         }
-        let mut job = match self.queue.pop() {
-            Some(j) => j,
-            None => return plan,
+        let Some(mut job) = self.queue.pop() else {
+            return plan;
         };
         if job.prefill_done == 0 && constraints.max_new_requests == 0 {
             let key = OrderPolicy::Fcfs.key(&job);
@@ -96,41 +94,24 @@ impl Scheduler for MedhaScheduler {
         }
 
         // Chunk against the fixed TBT target at the request's current
-        // context depth — slack-unaware by design.
-        let ctx_total: u64 = decodes.iter().map(|d| d.context_len as u64).sum();
+        // context depth — slack-unaware by design. One job per batch, so
+        // no fill loop: the room only caps this job's chunk.
+        let ctx_total: u64 = decodes.iter().map(|d| u64::from(d.context_len)).sum();
         let chunk = self.budget.prefill_budget(
-            decodes.len() as u32,
+            nums::usize_to_u32(decodes.len()),
             ctx_total,
             job.prefill_done,
             Some(self.config.tbt_target),
         );
-        let take = chunk
-            .min(job.remaining_tokens())
-            .min(constraints.kv_headroom_tokens.min(u32::MAX as u64) as u32);
+        let take = Room::new(constraints, chunk).assign(&mut job, &mut plan);
         self.last_chunk = take;
         plan.token_budget = chunk;
-        if take == 0 {
-            let key = OrderPolicy::Fcfs.key(&job);
-            self.queue.reinsert(job, key);
-            return plan;
-        }
-        let context_before = job.prefill_done;
-        job.prefill_done += take;
-        plan.prefill.push(PrefillAssignment {
-            id: job.id(),
-            tokens: take,
-            context_before,
-            completes_prefill: job.is_complete(),
-            relegated: false,
-        });
-        if !job.is_complete() {
+        if take == 0 || !job.is_complete() {
             let key = OrderPolicy::Fcfs.key(&job);
             self.queue.reinsert(job, key);
         }
         plan
     }
-
-    fn on_completion(&mut self, _spec: &RequestSpec, _observed_decode_tokens: u32) {}
 
     fn pending_prefills(&self) -> usize {
         self.queue.len()
@@ -149,7 +130,7 @@ impl Scheduler for MedhaScheduler {
 mod tests {
     use super::*;
     use qoserve_perf::HardwareConfig;
-    use qoserve_workload::{QosTier, RequestId, Slo};
+    use qoserve_workload::{QosTier, RequestId, RequestSpec, Slo};
 
     fn sched() -> MedhaScheduler {
         MedhaScheduler::new(

@@ -31,8 +31,8 @@ use qoserve_workload::{Priority, RequestSpec};
 
 use crate::estimate::ProcessingEstimator;
 use crate::job::{min_decode_slack, DecodeJob, PrefillJob};
-use crate::queue::JobQueue;
-use crate::{BatchPlan, Constraints, PrefillAssignment, Scheduler};
+use crate::queue::{JobQueue, Room};
+use crate::{BatchPlan, Constraints, Scheduler};
 
 /// How the hybrid-prioritization α is chosen.
 ///
@@ -263,57 +263,6 @@ impl QoServeScheduler {
         drain > self.config.shed_backlog
     }
 
-    /// The violation check of Algorithm 1 (line 12): should this job be
-    /// relegated *now*, and why (for trace attribution)?
-    ///
-    /// * Any job whose deadline has passed, or would pass within one
-    ///   typical iteration, has "already violated or will violate in the
-    ///   current iteration".
-    /// * Any job that cannot finish before its deadline even if scheduled
-    ///   immediately ("we know it will miss") is hopeless.
-    /// * Low-priority jobs are additionally shed whenever the backlog is
-    ///   beyond capacity, protecting important requests (§3.4).
-    fn relegation_reason(
-        &self,
-        job: &PrefillJob,
-        now: SimTime,
-        overloaded: bool,
-    ) -> Option<RelegationReason> {
-        if !self.config.eager_relegation {
-            return None;
-        }
-        let deadline = job.urgency_deadline();
-        let one_iteration = self.estimator.decode_time(1.0);
-        if now + one_iteration >= deadline {
-            // Already violated / violates this iteration.
-            return Some(RelegationReason::DeadlinePassed);
-        }
-        let remaining = if job.spec.class().is_interactive() {
-            self.estimator.prefill_time(job.remaining_tokens())
-        } else {
-            self.estimator
-                .remaining_time(job.spec.app_id, job.remaining_tokens())
-        };
-        if now + remaining > deadline {
-            // Hopeless even if scheduled immediately.
-            return Some(RelegationReason::Hopeless);
-        }
-        // Preferential shedding of low-priority (free-tier) work: under
-        // backlog pressure, relegate a low-priority job whose deadline is
-        // infeasible once the queue *ahead of it* is accounted for. The
-        // queue-ahead estimate is priority-aware (tiers with stricter SLOs
-        // jump the queue under hybrid prioritization), so feasible
-        // low-priority work in an absorbable surge is left alone.
-        if job.priority() == Priority::Low && overloaded {
-            let ahead = self.queue.live_tokens_ahead_of(job).min(u32::MAX as u64) as u32;
-            let queue_delay = self.estimator.prefill_time(ahead);
-            if now + queue_delay + remaining > deadline {
-                return Some(RelegationReason::OverloadShed);
-            }
-        }
-        None
-    }
-
     /// Computes the prefill token budget for this iteration.
     fn compute_budget(&mut self, now: SimTime, decodes: &[DecodeJob]) -> u32 {
         if !self.config.dynamic_chunking {
@@ -346,15 +295,59 @@ impl QoServeScheduler {
             };
             if (target_us - self.alpha_us).abs() > f64::EPSILON {
                 self.alpha_us = target_us;
-                // Keys embed α — rebuild them. Borrow-splitting: compute
-                // keys with a local closure over the needed fields.
-                let estimator = self.estimator.clone();
-                let alpha_us = self.alpha_us;
+                // Keys embed α — rebuild them.
                 self.queue
-                    .rekey(|job| hybrid_key(&estimator, alpha_us, job));
+                    .rekey(|job| hybrid_key(&self.estimator, self.alpha_us, job));
             }
         }
     }
+}
+
+/// The violation check of Algorithm 1 (line 12): should `job`, just
+/// popped from `queue`, be relegated *now*, and why (for trace
+/// attribution)? A job is relegated at most once.
+///
+/// * Any job whose deadline has passed, or would pass within one
+///   typical iteration, has "already violated or will violate in the
+///   current iteration".
+/// * Any job that cannot finish before its deadline even if scheduled
+///   immediately ("we know it will miss") is hopeless.
+/// * Low-priority jobs are additionally shed whenever the backlog is
+///   beyond capacity, protecting important requests (§3.4).
+fn relegation_reason(
+    config: &QoServeConfig,
+    estimator: &ProcessingEstimator,
+    queue: &JobQueue,
+    job: &PrefillJob,
+    now: SimTime,
+    overloaded: bool,
+) -> Option<RelegationReason> {
+    if !config.eager_relegation || job.relegated {
+        return None;
+    }
+    let deadline = job.urgency_deadline();
+    if now + estimator.decode_time(1.0) >= deadline {
+        // Already violated / violates this iteration.
+        return Some(RelegationReason::DeadlinePassed);
+    }
+    let service = estimator.service_time(job);
+    if now + service > deadline {
+        // Hopeless even if scheduled immediately.
+        return Some(RelegationReason::Hopeless);
+    }
+    // Preferential shedding of low-priority (free-tier) work: under
+    // backlog pressure, relegate a low-priority job whose deadline is
+    // infeasible once the queue *ahead of it* is accounted for. The
+    // queue-ahead estimate is priority-aware (tiers with stricter SLOs
+    // jump the queue under hybrid prioritization), so feasible
+    // low-priority work in an absorbable surge is left alone.
+    if job.priority() == Priority::Low && overloaded {
+        let ahead = u32::try_from(queue.live_tokens_ahead_of(job)).unwrap_or(u32::MAX);
+        if now + estimator.prefill_time(ahead) + service > deadline {
+            return Some(RelegationReason::OverloadShed);
+        }
+    }
+    None
 }
 
 /// The shared Eq. 4 / Eq. 5 key computation: deadline plus α-weighted
@@ -414,73 +407,34 @@ impl Scheduler for QoServeScheduler {
             prefill: Vec::new(),
             token_budget: budget_tokens,
         };
-        if !constraints.allow_prefill || budget_tokens == 0 {
-            return plan;
-        }
-
-        let overloaded = self.backlog_overloaded();
-        let mut remaining = budget_tokens;
-        let mut kv_left = constraints.kv_headroom_tokens;
-        let mut new_started = 0usize;
-
         // Algorithm 1 lines 10-23: fill the budget from the priority
         // queue, relegating violators as they surface.
-        while remaining > 0 && kv_left > 0 {
-            let mut job = match self.queue.pop() {
-                Some(j) => j,
-                None => break,
-            };
-            if job.prefill_done == 0 && new_started >= constraints.max_new_requests {
-                let key = self.priority_key(&job);
-                self.queue.reinsert(job, key);
-                break;
-            }
-            if !job.relegated {
-                if let Some(reason) = self.relegation_reason(&job, now, overloaded) {
-                    job.relegated = true;
-                    self.relegations += 1;
-                    if self.tracer.enabled() {
-                        self.tracer.emit(
-                            Some(job.id().0),
-                            TraceEvent::Relegated {
-                                from_tier: job.spec.tier().0,
-                                to_tier: RELEGATED_TIER,
-                                reason,
-                            },
-                        );
-                    }
-                    let key = self.priority_key(&job);
-                    self.queue.reinsert(job, key);
-                    continue;
+        let overloaded = self.backlog_overloaded();
+        self.queue.fill(
+            &mut plan,
+            &mut Room::new(constraints, budget_tokens),
+            |job| hybrid_key(&self.estimator, self.alpha_us, job),
+            |queue, job| {
+                let reason =
+                    relegation_reason(&self.config, &self.estimator, queue, job, now, overloaded);
+                let Some(reason) = reason else {
+                    return false;
+                };
+                job.relegated = true;
+                self.relegations += 1;
+                if self.tracer.enabled() {
+                    self.tracer.emit(
+                        Some(job.id().0),
+                        TraceEvent::Relegated {
+                            from_tier: job.spec.tier().0,
+                            to_tier: RELEGATED_TIER,
+                            reason,
+                        },
+                    );
                 }
-            }
-            let take = remaining
-                .min(job.remaining_tokens())
-                .min(kv_left.min(u32::MAX as u64) as u32);
-            if take == 0 {
-                let key = self.priority_key(&job);
-                self.queue.reinsert(job, key);
-                break;
-            }
-            if job.prefill_done == 0 {
-                new_started += 1;
-            }
-            let context_before = job.prefill_done;
-            job.prefill_done += take;
-            remaining -= take;
-            kv_left -= take as u64;
-            plan.prefill.push(PrefillAssignment {
-                id: job.id(),
-                tokens: take,
-                context_before,
-                completes_prefill: job.is_complete(),
-                relegated: job.relegated,
-            });
-            if !job.is_complete() {
-                let key = self.priority_key(&job);
-                self.queue.reinsert(job, key);
-            }
-        }
+                true
+            },
+        );
         plan
     }
 

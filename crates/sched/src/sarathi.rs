@@ -6,13 +6,12 @@
 //! the queue order: Sarathi-FCFS, Sarathi-SJF, Sarathi-SRPF, Sarathi-EDF
 //! (§4, Fig. 2). None of them relegate or adapt the chunk.
 
-use qoserve_sim::SimTime;
-use qoserve_workload::RequestSpec;
+use qoserve_sim::{nums, SimTime};
 
 use crate::job::{DecodeJob, PrefillJob};
 use crate::policy::OrderPolicy;
-use crate::queue::JobQueue;
-use crate::{BatchPlan, Constraints, PrefillAssignment, Scheduler};
+use crate::queue::{JobQueue, Room};
+use crate::{BatchPlan, Constraints, Scheduler};
 
 /// Fixed-chunk scheduler with a pluggable prefill ordering.
 ///
@@ -79,60 +78,22 @@ impl Scheduler for SarathiScheduler {
     ) -> BatchPlan {
         // Sarathi's token budget covers decode tokens too: each decoding
         // request consumes one slot of the chunk.
-        let budget = self.chunk_size.saturating_sub(decodes.len() as u32);
+        let budget = self
+            .chunk_size
+            .saturating_sub(nums::usize_to_u32(decodes.len()));
         let mut plan = BatchPlan {
             prefill: Vec::new(),
             token_budget: budget,
         };
-        if !constraints.allow_prefill {
-            return plan;
-        }
-
-        let mut remaining_budget = budget;
-        let mut kv_left = constraints.kv_headroom_tokens;
-        let mut new_started = 0usize;
-        while remaining_budget > 0 && kv_left > 0 {
-            let mut job = match self.queue.pop() {
-                Some(j) => j,
-                None => break,
-            };
-            let is_new = job.prefill_done == 0;
-            if is_new && new_started >= constraints.max_new_requests {
-                let key = self.policy.key(&job);
-                self.queue.reinsert(job, key);
-                break;
-            }
-            if is_new {
-                new_started += 1;
-            }
-            let take = remaining_budget
-                .min(job.remaining_tokens())
-                .min(kv_left.min(u32::MAX as u64) as u32);
-            if take == 0 {
-                let key = self.policy.key(&job);
-                self.queue.reinsert(job, key);
-                break;
-            }
-            let context_before = job.prefill_done;
-            job.prefill_done += take;
-            remaining_budget -= take;
-            kv_left -= take as u64;
-            plan.prefill.push(PrefillAssignment {
-                id: job.id(),
-                tokens: take,
-                context_before,
-                completes_prefill: job.is_complete(),
-                relegated: false,
-            });
-            if !job.is_complete() {
-                let key = self.policy.key(&job);
-                self.queue.reinsert(job, key);
-            }
-        }
+        let policy = self.policy;
+        self.queue.fill(
+            &mut plan,
+            &mut Room::new(constraints, budget),
+            |job| policy.key(job),
+            |_, _| false,
+        );
         plan
     }
-
-    fn on_completion(&mut self, _spec: &RequestSpec, _observed_decode_tokens: u32) {}
 
     fn pending_prefills(&self) -> usize {
         self.queue.len()
@@ -150,7 +111,7 @@ impl Scheduler for SarathiScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qoserve_workload::{QosTier, RequestId, Slo};
+    use qoserve_workload::{QosTier, RequestId, RequestSpec, Slo};
 
     fn spec(id: u64, arrival_secs: u64, prompt: u32, tier: QosTier) -> RequestSpec {
         RequestSpec {

@@ -16,19 +16,21 @@
 //!   the planned ones.
 //!
 //! The value of this module is two-fold: it reproduces the §4.5.3
-//! overhead comparison in the Criterion benches (DP cost grows linearly+
-//! with queue depth while QoServe's stays flat), and it provides an
-//! optimisation-based reference point for the policy benchmarks.
+//! overhead comparison in the `sched_overhead` bin (DP cost grows
+//! linearly+ with queue depth while QoServe's stays flat), and it
+//! provides an optimisation-based reference point for the policy
+//! benchmarks.
 
-use qoserve_sim::{SimDuration, SimTime};
+use std::collections::BTreeMap;
+
+use qoserve_perf::LatencyPredictor;
+use qoserve_sim::{nums, SimDuration, SimTime};
 use qoserve_workload::{RequestId, RequestSpec};
 
 use crate::estimate::ProcessingEstimator;
 use crate::job::{DecodeJob, PrefillJob};
-use crate::{BatchPlan, Constraints, PrefillAssignment, Scheduler};
-
-use qoserve_perf::LatencyPredictor;
-use std::collections::BTreeMap;
+use crate::queue::{JobQueue, Room};
+use crate::{BatchPlan, Constraints, Scheduler};
 
 /// Configuration of [`SlosServeScheduler`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,13 +63,9 @@ impl Default for SlosServeConfig {
 pub struct SlosServeScheduler {
     config: SlosServeConfig,
     estimator: ProcessingEstimator,
-    /// All queued jobs, keyed by id. Ordered map: `replan`, the pending-
-    /// token sum, and `drain_pending` all walk it, and walk order must be
-    /// deterministic for replays.
-    jobs: BTreeMap<RequestId, PrefillJob>,
-    /// Current plan: ids in service order (planned attainable first, then
-    /// best-effort), rebuilt every `replan_every` iterations.
-    plan_order: Vec<RequestId>,
+    /// Queued jobs keyed by their rank in the current plan (planned
+    /// attainable first, then best-effort), re-keyed at every re-plan.
+    queue: JobQueue,
     iterations_since_plan: u32,
     /// DP cell count of the last re-plan (complexity diagnostics).
     last_dp_cells: u64,
@@ -80,8 +78,7 @@ impl SlosServeScheduler {
         SlosServeScheduler {
             config,
             estimator: ProcessingEstimator::from_predictor(&predictor),
-            jobs: BTreeMap::new(),
-            plan_order: Vec::new(),
+            queue: JobQueue::new(),
             iterations_since_plan: u32::MAX, // force a plan on first batch
             last_dp_cells: 0,
         }
@@ -92,18 +89,26 @@ impl SlosServeScheduler {
         self.last_dp_cells
     }
 
-    /// Runs the attainment-maximising DP and rebuilds `plan_order`.
+    /// Runs the attainment-maximising DP and re-keys the queue by plan
+    /// rank.
     ///
     /// Jobs are sorted by deadline; `dp[t]` holds the maximum number of
     /// attainable jobs using `t` blocks of machine time, processed in
     /// deadline order (exchange argument: any attainable subset can be
     /// served in EDF order).
     fn replan(&mut self, now: SimTime) {
-        let mut candidates: Vec<&PrefillJob> = self.jobs.values().collect();
+        let mut candidates: Vec<&PrefillJob> = self.queue.iter().collect();
         candidates.sort_by_key(|j| (j.urgency_deadline(), j.id()));
 
         let block_us = self.config.block.as_micros().max(1);
         let horizon_blocks = self.config.max_blocks;
+        let service_blocks = |job: &PrefillJob| {
+            let us = self
+                .estimator
+                .prefill_time(job.remaining_tokens())
+                .as_micros();
+            nums::u64_to_usize(us.div_ceil(block_us).max(1))
+        };
 
         // dp[t] = (max attained, chosen set encoded via parent pointers).
         // To reconstruct the chosen set we keep, per job, the best t at
@@ -113,12 +118,7 @@ impl SlosServeScheduler {
         let mut cells = 0u64;
 
         for job in &candidates {
-            let service = self
-                .estimator
-                .prefill_time(job.remaining_tokens())
-                .as_micros()
-                .div_ceil(block_us)
-                .max(1) as usize;
+            let service = service_blocks(job);
             let deadline_blocks = job
                 .urgency_deadline()
                 .signed_duration_since(now)
@@ -148,12 +148,7 @@ impl SlosServeScheduler {
         let mut attained: Vec<RequestId> = Vec::new();
         let mut best_effort: Vec<RequestId> = Vec::new();
         for (idx, job) in candidates.iter().enumerate().rev() {
-            let service = self
-                .estimator
-                .prefill_time(job.remaining_tokens())
-                .as_micros()
-                .div_ceil(block_us)
-                .max(1) as usize;
+            let service = service_blocks(job);
             if t >= service && taken[idx][t] {
                 attained.push(job.id());
                 t -= service;
@@ -161,12 +156,16 @@ impl SlosServeScheduler {
                 best_effort.push(job.id());
             }
         }
-        // `attained` was collected in reverse deadline order; restore EDF
-        // order. Best-effort jobs also serve in deadline order.
-        attained.reverse();
-        best_effort.reverse();
-        self.plan_order = attained;
-        self.plan_order.extend(best_effort);
+        // Both lists were collected in reverse deadline order; serve the
+        // attained jobs in EDF order, then the best-effort ones likewise.
+        let rank: BTreeMap<RequestId, i64> = attained
+            .iter()
+            .rev()
+            .chain(best_effort.iter().rev())
+            .zip(0..)
+            .map(|(&id, rank)| (id, rank))
+            .collect();
+        self.queue.rekey(|job| rank[&job.id()]);
         self.iterations_since_plan = 0;
     }
 }
@@ -177,8 +176,9 @@ impl Scheduler for SlosServeScheduler {
     }
 
     fn on_arrival(&mut self, job: PrefillJob, _now: SimTime) {
-        self.jobs.insert(job.id(), job);
-        // New work invalidates the plan at the next batch boundary.
+        // Unranked until the re-plan this arrival forces at the next
+        // batch boundary.
+        self.queue.push(job, i64::MAX);
         self.iterations_since_plan = u32::MAX;
     }
 
@@ -193,59 +193,23 @@ impl Scheduler for SlosServeScheduler {
         }
         self.iterations_since_plan = self.iterations_since_plan.saturating_add(1);
 
-        let budget = self.config.chunk.saturating_sub(decodes.len() as u32);
+        let budget = self
+            .config
+            .chunk
+            .saturating_sub(nums::usize_to_u32(decodes.len()));
         let mut plan = BatchPlan {
             prefill: Vec::new(),
             token_budget: budget,
         };
-        if !constraints.allow_prefill {
-            return plan;
-        }
-
-        let mut remaining = budget;
-        let mut kv_left = constraints.kv_headroom_tokens;
-        let mut new_started = 0usize;
-        let mut cursor = 0usize;
-        while remaining > 0 && kv_left > 0 && cursor < self.plan_order.len() {
-            let id = self.plan_order[cursor];
-            let job = match self.jobs.get_mut(&id) {
-                Some(j) => j,
-                None => {
-                    cursor += 1;
-                    continue;
-                }
-            };
-            if job.prefill_done == 0 && new_started >= constraints.max_new_requests {
-                break;
-            }
-            let take = remaining
-                .min(job.remaining_tokens())
-                .min(kv_left.min(u32::MAX as u64) as u32);
-            if take == 0 {
-                break;
-            }
-            if job.prefill_done == 0 {
-                new_started += 1;
-            }
-            let context_before = job.prefill_done;
-            job.prefill_done += take;
-            remaining -= take;
-            kv_left -= take as u64;
-            let completes = job.is_complete();
-            plan.prefill.push(PrefillAssignment {
-                id,
-                tokens: take,
-                context_before,
-                completes_prefill: completes,
-                relegated: false,
-            });
-            if completes {
-                self.jobs.remove(&id);
-                self.plan_order.remove(cursor);
-            } else {
-                cursor += 1;
-            }
-        }
+        // Serve in plan order. A job the fill puts back was the plan's
+        // head (every job ranked before it completed), so it keeps the
+        // front until the next re-plan.
+        self.queue.fill(
+            &mut plan,
+            &mut Room::new(constraints, budget),
+            |_| i64::MIN,
+            |_, _| false,
+        );
         plan
     }
 
@@ -255,19 +219,15 @@ impl Scheduler for SlosServeScheduler {
     }
 
     fn pending_prefills(&self) -> usize {
-        self.jobs.len()
+        self.queue.len()
     }
 
     fn pending_prefill_tokens(&self) -> u64 {
-        self.jobs
-            .values()
-            .map(|j| j.remaining_tokens() as u64)
-            .sum()
+        self.queue.pending_tokens()
     }
 
     fn drain_pending(&mut self) -> Vec<PrefillJob> {
-        self.plan_order.clear();
-        std::mem::take(&mut self.jobs).into_values().collect()
+        self.queue.drain()
     }
 }
 
@@ -355,7 +315,10 @@ mod tests {
         s.replan(SimTime::ZERO);
         // Only two 2.6s services fit a 6s deadline window.
         assert!(s.last_dp_cells() > 0);
-        let attained_first_two: Vec<RequestId> = s.plan_order[..2].to_vec();
+        let attained_first_two: Vec<RequestId> = (0..2)
+            .filter_map(|_| s.queue.pop())
+            .map(|j| j.id())
+            .collect();
         assert_eq!(attained_first_two, vec![RequestId(0), RequestId(1)]);
     }
 
