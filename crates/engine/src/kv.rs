@@ -2,28 +2,22 @@
 //!
 //! QoServe never preempts decoding requests (§3.4) — once a request enters
 //! the decode phase its KV must stay resident until completion. The cache
-//! therefore tracks two quantities per request: tokens *used* (already
-//! written) and tokens *reserved* (guaranteed future decode growth). New
-//! prefill work is admitted only against `capacity − used − reserved`, so
-//! a decode can always grow.
-
-use std::collections::HashMap;
-
-use qoserve_workload::RequestId;
+//! therefore holds, per admitted request, its written prompt tokens plus
+//! its whole future decode growth (`decode_tokens − 1` tokens, one per
+//! decode step after the first token), reserved at admission. New prefill
+//! work is admitted only against `capacity − held`, so a decode can always
+//! grow, and a decode step itself changes nothing: it writes a token the
+//! reservation already holds.
+//!
+//! The cache keeps only the total. The engine's request slab is the
+//! per-request ledger: a completing request releases its `prefill_done`
+//! plus its reserve, read from the slab.
 
 /// KV-cache budget of one replica, in tokens.
 #[derive(Debug, Clone, Default)]
 pub struct KvCache {
     capacity: u64,
-    used: u64,
-    reserved: u64,
-    per_request: HashMap<RequestId, Allocation>,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct Allocation {
-    used: u64,
-    reserved: u64,
+    held: u64,
 }
 
 impl KvCache {
@@ -31,7 +25,7 @@ impl KvCache {
     pub fn new(capacity_tokens: u64) -> Self {
         KvCache {
             capacity: capacity_tokens,
-            ..Default::default()
+            held: 0,
         }
     }
 
@@ -40,73 +34,32 @@ impl KvCache {
         self.capacity
     }
 
-    /// Tokens currently written.
-    pub fn used(&self) -> u64 {
-        self.used
-    }
-
-    /// Tokens reserved for future decode growth.
-    pub fn reserved(&self) -> u64 {
-        self.reserved
+    /// Tokens held: written prompt tokens plus reserved decode growth.
+    pub fn held(&self) -> u64 {
+        self.held
     }
 
     /// Tokens available for *new* prefill admission.
     pub fn headroom(&self) -> u64 {
-        self.capacity.saturating_sub(self.used + self.reserved)
+        self.capacity.saturating_sub(self.held)
     }
 
-    /// Registers a request with a guaranteed future decode growth of
-    /// `decode_reserve` tokens. Idempotent per id.
-    pub fn admit(&mut self, id: RequestId, decode_reserve: u64) {
-        let entry = self.per_request.entry(id).or_default();
-        let delta = decode_reserve.saturating_sub(entry.reserved);
-        entry.reserved += delta;
-        self.reserved += delta;
+    /// Holds `tokens` more: a decode reserve at admission or a prefill
+    /// chunk. The caller must have checked [`headroom`](Self::headroom);
+    /// over-subscription is still tracked so invariants stay auditable.
+    pub fn hold(&mut self, tokens: u64) {
+        self.held += tokens;
     }
 
-    /// Writes `tokens` of prompt KV for `id` (prefill progress). The
-    /// caller must have checked [`headroom`](Self::headroom); this method
-    /// tracks even over-subscription so invariants remain auditable.
-    pub fn write_prefill(&mut self, id: RequestId, tokens: u64) {
-        let entry = self.per_request.entry(id).or_default();
-        entry.used += tokens;
-        self.used += tokens;
+    /// Releases `tokens` held by a request leaving the cache.
+    pub fn release(&mut self, tokens: u64) {
+        self.held -= tokens;
     }
 
-    /// Converts one token of reservation into use (a decode step).
-    pub fn write_decode(&mut self, id: RequestId) {
-        let entry = self.per_request.entry(id).or_default();
-        entry.used += 1;
-        self.used += 1;
-        let consumed = entry.reserved.min(1);
-        entry.reserved -= consumed;
-        self.reserved -= consumed;
-    }
-
-    /// Releases everything held by `id`. Safe to call for unknown ids.
-    pub fn release(&mut self, id: RequestId) {
-        if let Some(a) = self.per_request.remove(&id) {
-            self.used -= a.used;
-            self.reserved -= a.reserved;
-        }
-    }
-
-    /// Releases every allocation at once, keeping the capacity. Models a
+    /// Releases everything at once, keeping the capacity. Models a
     /// replica crash: the cache contents die with the process.
     pub fn clear(&mut self) {
-        self.per_request.clear();
-        self.used = 0;
-        self.reserved = 0;
-    }
-
-    /// Number of requests currently holding KV.
-    pub fn resident_requests(&self) -> usize {
-        self.per_request.len()
-    }
-
-    /// Tokens held (used) by one request.
-    pub fn used_by(&self, id: RequestId) -> u64 {
-        self.per_request.get(&id).map_or(0, |a| a.used)
+        self.held = 0;
     }
 }
 
@@ -118,92 +71,32 @@ mod tests {
     fn admission_accounting() {
         let mut kv = KvCache::new(10_000);
         assert_eq!(kv.headroom(), 10_000);
-        kv.admit(RequestId(1), 500);
+        kv.hold(500); // decode reserve at admission
         assert_eq!(kv.headroom(), 9_500);
-        kv.write_prefill(RequestId(1), 2_000);
-        assert_eq!(kv.used(), 2_000);
+        kv.hold(2_000); // a prefill chunk
+        assert_eq!(kv.held(), 2_500);
         assert_eq!(kv.headroom(), 7_500);
-    }
-
-    #[test]
-    fn decode_consumes_reservation() {
-        let mut kv = KvCache::new(1_000);
-        kv.admit(RequestId(1), 10);
-        kv.write_prefill(RequestId(1), 100);
-        let headroom_before = kv.headroom();
-        kv.write_decode(RequestId(1));
-        // One reserved token became a used token: headroom unchanged.
-        assert_eq!(kv.headroom(), headroom_before);
-        assert_eq!(kv.used(), 101);
-        assert_eq!(kv.reserved(), 9);
-    }
-
-    #[test]
-    fn decode_beyond_reservation_still_tracks() {
-        let mut kv = KvCache::new(1_000);
-        kv.admit(RequestId(1), 1);
-        kv.write_prefill(RequestId(1), 10);
-        kv.write_decode(RequestId(1));
-        kv.write_decode(RequestId(1)); // reservation exhausted
-        assert_eq!(kv.used(), 12);
-        assert_eq!(kv.reserved(), 0);
     }
 
     #[test]
     fn release_returns_everything() {
         let mut kv = KvCache::new(5_000);
-        kv.admit(RequestId(1), 200);
-        kv.write_prefill(RequestId(1), 1_000);
-        kv.write_decode(RequestId(1));
-        kv.admit(RequestId(2), 300);
-        kv.write_prefill(RequestId(2), 500);
-
-        kv.release(RequestId(1));
-        assert_eq!(kv.used(), 500);
-        assert_eq!(kv.reserved(), 300);
-        assert_eq!(kv.resident_requests(), 1);
-
-        kv.release(RequestId(2));
+        kv.hold(200 + 1_000);
+        kv.hold(300 + 500);
+        kv.release(200 + 1_000);
+        assert_eq!(kv.held(), 800);
+        kv.release(300 + 500);
         assert_eq!(kv.headroom(), 5_000);
-        assert_eq!(kv.resident_requests(), 0);
     }
 
     #[test]
     fn clear_releases_everything_but_keeps_capacity() {
         let mut kv = KvCache::new(5_000);
-        kv.admit(RequestId(1), 200);
-        kv.write_prefill(RequestId(1), 1_000);
-        kv.write_prefill(RequestId(2), 500);
+        kv.hold(1_200);
+        kv.hold(500);
         kv.clear();
-        assert_eq!(kv.used(), 0);
-        assert_eq!(kv.reserved(), 0);
-        assert_eq!(kv.resident_requests(), 0);
+        assert_eq!(kv.held(), 0);
+        assert_eq!(kv.capacity(), 5_000);
         assert_eq!(kv.headroom(), 5_000);
-    }
-
-    #[test]
-    fn release_unknown_id_is_noop() {
-        let mut kv = KvCache::new(100);
-        kv.release(RequestId(99));
-        assert_eq!(kv.headroom(), 100);
-    }
-
-    #[test]
-    fn admit_is_idempotent() {
-        let mut kv = KvCache::new(1_000);
-        kv.admit(RequestId(1), 100);
-        kv.admit(RequestId(1), 100);
-        assert_eq!(kv.reserved(), 100);
-        // Raising the reservation adds only the delta.
-        kv.admit(RequestId(1), 150);
-        assert_eq!(kv.reserved(), 150);
-    }
-
-    #[test]
-    fn used_by_reports_per_request() {
-        let mut kv = KvCache::new(1_000);
-        kv.write_prefill(RequestId(3), 42);
-        assert_eq!(kv.used_by(RequestId(3)), 42);
-        assert_eq!(kv.used_by(RequestId(4)), 0);
     }
 }

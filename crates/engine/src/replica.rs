@@ -244,6 +244,12 @@ impl Running {
         self.generated >= self.spec.decode_tokens.max(1)
     }
 
+    /// KV tokens this request holds from admission to completion: its
+    /// written prompt plus the decode reserve (see [`decode_reserve`]).
+    fn kv_tokens(&self) -> u64 {
+        u64::from(self.prefill_done) + decode_reserve(&self.spec)
+    }
+
     fn into_outcome(self, replica: u32) -> RequestOutcome {
         RequestOutcome {
             spec: self.spec,
@@ -259,6 +265,14 @@ impl Running {
             drain_migrations: 0,
         }
     }
+}
+
+/// KV growth reserved at admission: one token per decode step after the
+/// first token, which the prefill's last iteration emits. A request makes
+/// exactly this many decode writes before it completes, so the reserve
+/// covers every one and a decode step needs no KV call.
+fn decode_reserve(spec: &RequestSpec) -> u64 {
+    u64::from(spec.decode_tokens.saturating_sub(1))
 }
 
 /// One simulated serving replica.
@@ -299,10 +313,10 @@ pub struct ReplicaEngine {
     /// loops index it in O(1) through [`JobRef`]s.
     jobs: JobSlab<Running>,
     /// Index of in-flight requests. Ordered map, not `HashMap`:
-    /// `finalize_unfinished` drains it into the outcome list, and that
-    /// walk order must be a function of request ids alone for replays to
-    /// be bit-identical (`known_specs` above is point-lookup only, so it
-    /// may stay hashed).
+    /// `take_orphans` drains it into orphans (or, via `finish`, unfinished
+    /// outcomes), and that walk order must be a function of request ids
+    /// alone for replays to be bit-identical (`known_specs` above is
+    /// point-lookup only, so it may stay hashed).
     running: BTreeMap<RequestId, JobRef>,
     decode_pool: Vec<(RequestId, JobRef)>,
     /// Iteration-scoped scratch (decode snapshot, finished list, batch
@@ -310,6 +324,7 @@ pub struct ReplicaEngine {
     decode_scratch: Vec<DecodeJob>,
     finished_scratch: Vec<RequestId>,
     profile_scratch: BatchProfile,
+    /// Total KV held by `running`: Σ(`prefill_done` + decode reserve).
     kv: KvCache,
     now: SimTime,
     outcomes: Vec<RequestOutcome>,
@@ -435,8 +450,16 @@ impl ReplicaEngine {
     /// Used directly by the fault-aware cluster driver, which steps
     /// engines manually instead of calling [`run`](Self::run).
     pub fn finish(&mut self) -> Vec<RequestOutcome> {
-        self.finalize_unfinished();
+        // The crash walk, with every orphan accounted as unfinished
+        // instead of re-dispatched.
+        let replica = self.config.replica_id;
+        let unfinished = self.take_orphans();
         let mut outcomes = std::mem::take(&mut self.outcomes);
+        outcomes.extend(
+            unfinished
+                .into_iter()
+                .map(|o| RequestOutcome::unfinished(o.spec, o.relegated, replica)),
+        );
         outcomes.sort_by_key(|o| o.spec.id);
         outcomes
     }
@@ -637,7 +660,6 @@ impl ReplicaEngine {
                 continue;
             };
             r.emit_token(self.now);
-            self.kv.write_decode(id);
             if r.is_done() {
                 self.finished_scratch.push(id);
             }
@@ -661,8 +683,7 @@ impl ReplicaEngine {
                     }
                     continue;
                 };
-                self.kv
-                    .admit(a.id, u64::from(spec.decode_tokens.saturating_sub(1)));
+                self.kv.hold(decode_reserve(&spec));
                 let job = self.jobs.insert(Running::new(spec));
                 self.running.insert(a.id, job);
             }
@@ -676,7 +697,7 @@ impl ReplicaEngine {
             };
             entry.prefill_done += a.tokens;
             entry.relegated |= a.relegated;
-            self.kv.write_prefill(a.id, u64::from(a.tokens));
+            self.kv.hold(u64::from(a.tokens));
             if a.completes_prefill {
                 entry.emit_token(self.now);
                 if self.tracer.enabled() {
@@ -690,6 +711,15 @@ impl ReplicaEngine {
             }
         }
 
+        debug_assert_eq!(
+            self.kv.held(),
+            self.running
+                .values()
+                .filter_map(|&job| self.jobs.get(job))
+                .map(Running::kv_tokens)
+                .sum::<u64>(),
+            "KV total drifted from the running requests"
+        );
         true
     }
 
@@ -707,7 +737,7 @@ impl ReplicaEngine {
             return;
         };
         self.decode_pool.retain(|(d, _)| *d != id);
-        self.kv.release(id);
+        self.kv.release(r.kv_tokens());
         self.scheduler.on_completion(&r.spec, r.generated);
         if self.tracer.enabled() {
             self.tracer.emit(
@@ -721,46 +751,6 @@ impl ReplicaEngine {
             );
         }
         self.outcomes.push(r.into_outcome(self.config.replica_id));
-    }
-
-    /// Marks everything still in flight/queued/unarrived as unfinished,
-    /// with admission-rejected jobs (rate limiting) carrying their own
-    /// distinct label.
-    fn finalize_unfinished(&mut self) {
-        let replica = self.config.replica_id;
-        let mut accounted: std::collections::HashSet<RequestId> = HashSet::new();
-        // Index order (by request id), not slab order — pinned by replay
-        // bit-identity tests.
-        for (id, job) in std::mem::take(&mut self.running) {
-            accounted.insert(id);
-            let Some(r) = self.jobs.remove(job) else {
-                continue;
-            };
-            self.outcomes
-                .push(RequestOutcome::unfinished(r.spec, r.relegated, replica));
-        }
-        self.decode_pool.clear();
-        // Rejections first, so they get the `Rejected` disposition rather
-        // than riding along with `drain_pending` as plain unfinished.
-        for job in self.scheduler.drain_rejected() {
-            if accounted.insert(job.spec.id) {
-                self.outcomes
-                    .push(RequestOutcome::rejected(job.spec, replica));
-            }
-        }
-        for job in self.scheduler.drain_pending() {
-            // Skip jobs that are also in `running` (partially prefilled) —
-            // those were already accounted above.
-            if accounted.insert(job.spec.id) {
-                self.outcomes
-                    .push(RequestOutcome::unfinished(job.spec, job.relegated, replica));
-            }
-        }
-        while let Some((_, _, spec)) = self.arrivals.pop() {
-            self.outcomes
-                .push(RequestOutcome::unfinished(spec, false, replica));
-        }
-        self.known_specs.clear();
     }
 
     /// Whether the injected crash has fired.
@@ -851,13 +841,14 @@ impl ReplicaEngine {
         std::mem::take(&mut self.outcomes)
     }
 
-    /// Empties a crashed replica: every in-flight and queued request is
-    /// returned as an [`OrphanedJob`] for the cluster layer to
+    /// Empties a halted replica: every in-flight, queued and unarrived
+    /// request is returned as an [`OrphanedJob`] for the cluster layer to
     /// re-dispatch, while admission-rejected jobs are recorded as
     /// `Rejected` outcomes (a 429 happened before the crash; the client
     /// already saw it). Call this *before*
     /// [`take_outcomes`](Self::take_outcomes) so those rejections are
-    /// included.
+    /// included. [`finish`](Self::finish) runs the same walk and accounts
+    /// the orphans as unfinished.
     ///
     /// Orphans are produced in request-id order (in-flight first, then
     /// queued, then unarrived) so recovery replays are bit-identical.
@@ -935,6 +926,20 @@ mod tests {
         let mut c = ReplicaConfig::new(HardwareConfig::llama3_8b_a100_tp1());
         c.noise_sigma = 0.0;
         c
+    }
+
+    #[test]
+    fn completions_release_exactly_what_they_held() {
+        // Decode lengths 0 and 1 reserve nothing; longer ones reserve one
+        // token per decode step. Once every request has completed, the
+        // releases must have returned the cache to empty.
+        let mut e = engine_with(base_config());
+        for (i, decode) in [0, 1, 2, 40, 300].into_iter().enumerate() {
+            e.submit(spec(i as u64, i as u64 * 5, 700, decode));
+        }
+        while e.step() {}
+        assert_eq!(e.outcomes.len(), 5, "every request completed");
+        assert_eq!(e.kv.held(), 0);
     }
 
     #[test]

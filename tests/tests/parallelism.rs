@@ -143,8 +143,8 @@ fn thread_count_does_not_change_simulation_results() {
 /// between two map instances even within one process. That leak was
 /// masked by `run_replicas` sorting outcomes by id; this test compares
 /// the raw order out of the engine — on a truncated horizon, so
-/// `finalize_unfinished` has to drain both the running set and the
-/// scheduler queue while plenty of work is still outstanding.
+/// `finish` (through `take_orphans`) has to drain both the running set
+/// and the scheduler queue while plenty of work is still outstanding.
 #[test]
 fn repeated_runs_emit_outcomes_in_identical_order() {
     let trace = TraceBuilder::new(Dataset::azure_conv())
