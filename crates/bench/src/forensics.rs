@@ -29,31 +29,7 @@ use std::collections::BTreeMap;
 
 use qoserve_trace::{TraceEvent, TraceRecord};
 
-/// Primary attribution for one violated request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum LatenessCause {
-    /// Lateness was already locked in before the first token: queueing.
-    QueueingDelay,
-    /// TTFT met, later tokens violated: chunking stretched the decode.
-    ChunkInduced,
-    /// The request overlapped a crash or slowdown window.
-    FaultInduced,
-    /// The request overlapped an elastic scale event (drain/retire) on
-    /// its replica.
-    ScaleInduced,
-}
-
-impl LatenessCause {
-    /// Stable report label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            LatenessCause::QueueingDelay => "queueing-delay",
-            LatenessCause::ChunkInduced => "chunk-induced",
-            LatenessCause::FaultInduced => "fault-induced",
-            LatenessCause::ScaleInduced => "scale-induced",
-        }
-    }
-}
+pub use qoserve_stats::LatenessCause;
 
 /// Everything the trace knows about one request.
 #[derive(Debug, Clone, Default)]
@@ -222,23 +198,12 @@ impl TraceForensics {
                 && f.arrived_us.is_some_and(|a| ev.time_us >= a)
                 && ev.time_us <= span_end
         };
-        // A fault on the request's own replica wins attribution; an
-        // elastic scale event (drain/retire) comes next; a re-dispatch
-        // with neither in the span is still fault-induced (the request
-        // was orphaned before it even arrived at the crashed replica).
-        if self.faults.iter().any(overlaps) {
-            return Some(LatenessCause::FaultInduced);
-        }
-        if self.scaling.iter().any(overlaps) {
-            return Some(LatenessCause::ScaleInduced);
-        }
-        if f.redispatches > 0 {
-            return Some(LatenessCause::FaultInduced);
-        }
-        match (f.first_token_us, f.deadline_us) {
-            (Some(ft), Some(d)) if ft <= d => Some(LatenessCause::ChunkInduced),
-            _ => Some(LatenessCause::QueueingDelay),
-        }
+        Some(LatenessCause::attribute(
+            self.faults.iter().any(overlaps),
+            self.scaling.iter().any(overlaps),
+            f.redispatches > 0,
+            matches!((f.first_token_us, f.deadline_us), (Some(ft), Some(d)) if ft <= d),
+        ))
     }
 
     /// Violation counts per cause label, in label order.

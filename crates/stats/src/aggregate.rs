@@ -22,14 +22,11 @@
 //!
 //! # Violation-cause attribution
 //!
-//! Completions that violated their SLO are attributed to the forensics
-//! taxonomy (`qoserve-bench`'s `LatenessCause`) with the same precedence,
-//! computed online from fold state: a fault on a replica the request
-//! visited during its span wins; an elastic scale event (drain / scale
-//! decision) comes next; a re-dispatched request with neither is still
-//! fault-induced; otherwise a late first token is queueing delay and a
-//! met TTFT is chunk-induced decode stretch. The one divergence from
-//! post-hoc forensics: only events folded *before* the completion can be
+//! Completions that violated their SLO are attributed to a
+//! [`LatenessCause`] by [`LatenessCause::attribute`], the precedence
+//! `qoserve-bench`'s post-hoc forensics uses too, with the overlaps
+//! computed online from fold state. The one divergence from post-hoc
+//! forensics: only events folded *before* the completion can be
 //! consulted (same-stamp events sorting after it cannot), which is
 //! deterministic by the canonical fold order.
 
@@ -42,6 +39,57 @@ use qoserve_trace::{
 };
 
 use crate::snapshot::{StatsDelta, StatsFrame, StatsSnapshot, TierStats, SNAPSHOT_SCHEMA_VERSION};
+
+/// Primary attribution for one violated request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum LatenessCause {
+    /// Lateness was already locked in before the first token: queueing.
+    QueueingDelay,
+    /// TTFT met, later tokens violated: chunking stretched the decode.
+    ChunkInduced,
+    /// The request overlapped a crash or slowdown window.
+    FaultInduced,
+    /// The request overlapped an elastic scale event (drain/retire) on
+    /// its replica.
+    ScaleInduced,
+}
+
+impl LatenessCause {
+    /// The attribution precedence. A fault on a replica the request
+    /// visited during its span wins; an elastic scale event (drain or
+    /// scale decision) there comes next; a re-dispatched request with
+    /// neither is still fault-induced (it was orphaned before it reached
+    /// the crashed replica's span); otherwise a met TTFT means chunking
+    /// stretched the decode and a late one means queueing.
+    pub fn attribute(
+        fault_overlap: bool,
+        scale_overlap: bool,
+        redispatched: bool,
+        ttft_met: bool,
+    ) -> Self {
+        if fault_overlap {
+            LatenessCause::FaultInduced
+        } else if scale_overlap {
+            LatenessCause::ScaleInduced
+        } else if redispatched {
+            LatenessCause::FaultInduced
+        } else if ttft_met {
+            LatenessCause::ChunkInduced
+        } else {
+            LatenessCause::QueueingDelay
+        }
+    }
+
+    /// Stable report label.
+    pub fn label(&self) -> &'static str {
+        match self {
+            LatenessCause::QueueingDelay => "queueing-delay",
+            LatenessCause::ChunkInduced => "chunk-induced",
+            LatenessCause::FaultInduced => "fault-induced",
+            LatenessCause::ScaleInduced => "scale-induced",
+        }
+    }
+}
 
 /// Aggregation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -303,8 +351,7 @@ impl StatsAggregator {
         }
     }
 
-    /// Mirrors `TraceForensics::cause_of` over fold state (precedence:
-    /// fault overlap > scale overlap > re-dispatch > TTFT verdict).
+    /// [`LatenessCause::attribute`] over fold state.
     fn cause_label(&self, f: &InFlight, span_end_us: u64) -> &'static str {
         let overlaps = |marks: &BTreeMap<u32, Vec<u64>>| {
             f.replicas.iter().any(|r| {
@@ -313,19 +360,13 @@ impl StatsAggregator {
                 })
             })
         };
-        if overlaps(&self.fault_marks) {
-            return "fault-induced";
-        }
-        if overlaps(&self.scale_marks) {
-            return "scale-induced";
-        }
-        if f.redispatches > 0 {
-            return "fault-induced";
-        }
-        match f.first_token_us {
-            Some(ft) if ft <= f.deadline_us => "chunk-induced",
-            _ => "queueing-delay",
-        }
+        LatenessCause::attribute(
+            overlaps(&self.fault_marks),
+            overlaps(&self.scale_marks),
+            f.redispatches > 0,
+            f.first_token_us.is_some_and(|ft| ft <= f.deadline_us),
+        )
+        .label()
     }
 
     fn record_cause(&self, frame: &mut StatsFrame, label: &'static str, time_us: u64) {

@@ -33,7 +33,7 @@ pub mod live;
 pub mod server;
 pub mod snapshot;
 
-pub use aggregate::{StatsAggregator, StatsConfig};
+pub use aggregate::{LatenessCause, StatsAggregator, StatsConfig};
 pub use live::{stats_only_sink, StatsHandle};
 pub use server::{StatsMeta, StatsQuery, StatsReply, StatsServer};
 pub use snapshot::{
