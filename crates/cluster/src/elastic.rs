@@ -537,7 +537,7 @@ impl<'a> Kernel<'a> {
             outstanding: vec![[0, 0]; nums::u32_to_usize(max_replicas)],
             held: Vec::new(),
             dynamic: false,
-            router: FleetRouter::new(config.router, max_replicas),
+            router: FleetRouter::new(config.router),
             fleet_log: vec![(SimTime::ZERO, initial)],
             replica_us: 0,
             drain_migrations: BTreeMap::new(),
@@ -1039,7 +1039,7 @@ impl<'a> Kernel<'a> {
                 kept.push(spec);
                 continue;
             }
-            match self.fleet.router.route(&spec, &serving) {
+            match self.fleet.router.route(&serving) {
                 Some(target) => {
                     let t = nums::u32_to_usize(target);
                     self.fleet.admit(t, &spec);

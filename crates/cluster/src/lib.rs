@@ -8,7 +8,7 @@
 //! * [`spec`] — [`SchedulerSpec`], a buildable description of a scheduler
 //!   (so each replica can own a fresh instance).
 //! * [`router`] — request routing across replicas (round-robin, as in the
-//!   paper's experiments, plus a least-work router).
+//!   paper's experiments).
 //! * [`deployment`] — shared vs siloed deployments of fixed, fault-free
 //!   fleets; replicas run on parallel workers, each bit-reproducible.
 //! * [`recovery`] — the fault plan and recovery policy: sharded epoch

@@ -40,7 +40,6 @@ use std::cmp::Reverse;
 use qoserve_sim::nums;
 use qoserve_sim::rng::exponential_gap_secs;
 use qoserve_sim::{SeedStream, SimDuration, SimTime};
-use qoserve_workload::RequestSpec;
 
 use crate::router::Router;
 
@@ -205,68 +204,36 @@ pub fn drain_victim(candidates: &[DrainCandidate]) -> Option<u32> {
 pub struct FleetRouter {
     policy: Router,
     cursor: u64,
-    /// Cumulative routed tokens per replica slot (LeastWork state).
-    loads: Vec<u64>,
 }
 
 impl FleetRouter {
-    /// A fresh router over `max_replicas` slots.
-    pub fn new(policy: Router, max_replicas: u32) -> Self {
-        FleetRouter {
-            policy,
-            cursor: 0,
-            loads: vec![0; nums::u32_to_usize(max_replicas)],
-        }
+    /// A fresh router.
+    pub fn new(policy: Router) -> Self {
+        FleetRouter { policy, cursor: 0 }
     }
 
     /// Routes one request over the serving set; `None` when it is empty.
     ///
     /// `serving` must be sorted ascending (the runner maintains it that
     /// way), so the choice is deterministic.
-    pub fn route(&mut self, spec: &RequestSpec, serving: &[u32]) -> Option<u32> {
+    pub fn route(&mut self, serving: &[u32]) -> Option<u32> {
         if serving.is_empty() {
             return None;
         }
-        let target = match self.policy {
+        match self.policy {
             Router::RoundRobin => {
                 let t =
                     serving[nums::u64_to_usize(self.cursor % nums::usize_to_u64(serving.len()))];
                 self.cursor += 1;
-                t
+                Some(t)
             }
-            Router::LeastWork => {
-                let mut best = serving[0];
-                let mut best_load = self.loads[nums::u32_to_usize(best)];
-                for &r in &serving[1..] {
-                    let load = self.loads[nums::u32_to_usize(r)];
-                    if load < best_load {
-                        best = r;
-                        best_load = load;
-                    }
-                }
-                best
-            }
-        };
-        self.loads[nums::u32_to_usize(target)] += u64::from(spec.total_tokens());
-        Some(target)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qoserve_workload::{QosTier, RequestId, Slo};
-
-    fn spec(id: u64, prompt: u32) -> RequestSpec {
-        RequestSpec {
-            id: RequestId(id),
-            arrival: SimTime::ZERO,
-            prompt_tokens: prompt,
-            decode_tokens: 10,
-            slo: Slo::of_tier(QosTier::paper_q1()),
-            app_id: 0,
-        }
-    }
 
     fn cand(replica: u32, important: u64, low: u64) -> DrainCandidate {
         DrainCandidate {
@@ -337,30 +304,14 @@ mod tests {
 
     #[test]
     fn fleet_router_round_robin_cycles_serving_set() {
-        let mut fr = FleetRouter::new(Router::RoundRobin, 8);
+        let mut fr = FleetRouter::new(Router::RoundRobin);
         let serving = vec![1, 4, 6];
-        let targets: Vec<u32> = (0..5)
-            .map(|i| fr.route(&spec(i, 100), &serving).unwrap())
-            .collect();
+        let targets: Vec<u32> = (0..5).map(|_| fr.route(&serving).unwrap()).collect();
         assert_eq!(targets, vec![1, 4, 6, 1, 4]);
         // Membership change mid-stream: the cursor keeps advancing over
         // the new set.
-        assert_eq!(fr.route(&spec(9, 100), &[4, 6]), Some(6));
-        assert_eq!(fr.route(&spec(10, 100), &[]), None);
-    }
-
-    #[test]
-    fn fleet_router_least_work_tracks_cumulative_tokens() {
-        let mut fr = FleetRouter::new(Router::LeastWork, 4);
-        let serving = vec![0, 1];
-        // First request to the lowest id, second to the other, third to
-        // whichever is lighter.
-        assert_eq!(fr.route(&spec(0, 1_000), &serving), Some(0));
-        assert_eq!(fr.route(&spec(1, 100), &serving), Some(1));
-        assert_eq!(fr.route(&spec(2, 100), &serving), Some(1));
-        // A replica leaving the serving set stops receiving work but
-        // keeps its load history for when it returns.
-        assert_eq!(fr.route(&spec(3, 50), &[0]), Some(0));
+        assert_eq!(fr.route(&[4, 6]), Some(6));
+        assert_eq!(fr.route(&[]), None);
     }
 
     mod properties {
@@ -405,16 +356,9 @@ mod tests {
                     serving.insert(rng.gen_range(0u32..8));
                 }
                 let serving: Vec<u32> = serving.into_iter().collect();
-                let policy = if rng.gen() {
-                    Router::RoundRobin
-                } else {
-                    Router::LeastWork
-                };
-                let mut fr = FleetRouter::new(policy, 8);
-                for i in 0..rng.gen_range(1..32u64) {
-                    let t = fr
-                        .route(&spec(i, rng.gen_range(1..2_000)), &serving)
-                        .expect("non-empty");
+                let mut fr = FleetRouter::new(Router::RoundRobin);
+                for _ in 0..rng.gen_range(1..32u64) {
+                    let t = fr.route(&serving).expect("non-empty");
                     assert!(serving.contains(&t));
                 }
             });

@@ -1,14 +1,10 @@
 //! Request routing across replicas.
 //!
 //! The paper's cluster experiments use round-robin load balancing across
-//! replicas (§4.1.1). A least-outstanding-work router is provided as well
-//! for sensitivity studies; since replicas are simulated independently,
-//! it balances on cumulative assigned prompt+decode tokens — a static
-//! approximation of join-shortest-queue documented in DESIGN.md.
+//! replicas (§4.1.1); that is the one policy here.
 
 use std::fmt;
 
-use qoserve_engine::ReplicaState;
 use qoserve_workload::RequestSpec;
 
 /// Routing failure: the deployment has no replica to route to.
@@ -34,9 +30,6 @@ impl std::error::Error for RouterError {}
 pub enum Router {
     /// Strict rotation, as in the paper's experiments.
     RoundRobin,
-    /// Send each request to the replica with the least cumulative
-    /// assigned work (prompt + decode tokens).
-    LeastWork,
 }
 
 impl Router {
@@ -53,52 +46,7 @@ impl Router {
         }
         Ok(match self {
             Router::RoundRobin => (0..requests.len()).map(|i| i % replicas).collect(),
-            Router::LeastWork => {
-                let mut load = vec![0u64; replicas];
-                requests
-                    .iter()
-                    .map(|r| {
-                        // Manual argmin: first replica with the least load
-                        // (ties break to the lowest index, deterministic).
-                        let mut target = 0usize;
-                        for (i, l) in load.iter().enumerate().skip(1) {
-                            if *l < load[target] {
-                                target = i;
-                            }
-                        }
-                        load[target] += r.total_tokens() as u64;
-                        target
-                    })
-                    .collect()
-            }
         })
-    }
-
-    /// Lifecycle-aware assignment: routes each request over only the
-    /// replicas whose [`ReplicaState`] accepts work, never targeting a
-    /// `Warming` or `Draining` replica. `states` is indexed by replica
-    /// id and also fixes the fleet size. Returns
-    /// [`RouterError::NoReplicas`] when no replica accepts work.
-    ///
-    /// Routing state (the rotation, the load table) advances over the
-    /// *admissible* subset, so for an all-serving fleet this is exactly
-    /// [`try_assign`](Self::try_assign).
-    pub fn try_assign_states(
-        &self,
-        requests: &[RequestSpec],
-        states: &[ReplicaState],
-    ) -> Result<Vec<usize>, RouterError> {
-        let admissible: Vec<usize> = states
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.accepts_work())
-            .map(|(i, _)| i)
-            .collect();
-        if admissible.is_empty() {
-            return Err(RouterError::NoReplicas);
-        }
-        let within = self.try_assign(requests, admissible.len())?;
-        Ok(within.into_iter().map(|i| admissible[i]).collect())
     }
 
     /// Assigns each request of `requests` (in order) to one of
@@ -140,22 +88,9 @@ mod tests {
     }
 
     #[test]
-    fn least_work_balances_token_mass() {
-        // One huge request then several small ones: the small ones should
-        // all avoid the replica holding the huge request.
-        let mut reqs = vec![spec(0, 100_000)];
-        reqs.extend((1..7).map(|i| spec(i, 100)));
-        let targets = Router::LeastWork.assign(&reqs, 2);
-        assert_eq!(targets[0], 0);
-        assert!(targets[1..].iter().all(|t| *t == 1));
-    }
-
-    #[test]
     fn single_replica_takes_everything() {
         let reqs: Vec<RequestSpec> = (0..5).map(|i| spec(i, 10)).collect();
-        for r in [Router::RoundRobin, Router::LeastWork] {
-            assert!(r.assign(&reqs, 1).iter().all(|t| *t == 0));
-        }
+        assert!(Router::RoundRobin.assign(&reqs, 1).iter().all(|t| *t == 0));
     }
 
     #[test]
@@ -167,10 +102,9 @@ mod tests {
     #[test]
     fn try_assign_surfaces_zero_replicas_as_error() {
         let reqs = vec![spec(0, 10)];
-        for r in [Router::RoundRobin, Router::LeastWork] {
-            assert_eq!(r.try_assign(&reqs, 0), Err(RouterError::NoReplicas));
-            assert!(r.try_assign(&reqs, 1).is_ok());
-        }
+        let r = Router::RoundRobin;
+        assert_eq!(r.try_assign(&reqs, 0), Err(RouterError::NoReplicas));
+        assert!(r.try_assign(&reqs, 1).is_ok());
         assert_eq!(
             RouterError::NoReplicas.to_string(),
             "at least one replica is required"
@@ -178,50 +112,9 @@ mod tests {
     }
 
     #[test]
-    fn try_assign_states_skips_warming_and_draining() {
-        // Regression for the elastic control plane: fleet [Up, Warming,
-        // Draining, Up] routes only over replicas 0 and 3.
-        let states = [
-            ReplicaState::Up,
-            ReplicaState::Warming,
-            ReplicaState::Draining,
-            ReplicaState::Up,
-        ];
-        let reqs: Vec<RequestSpec> = (0..6).map(|i| spec(i, 100)).collect();
-        for r in [Router::RoundRobin, Router::LeastWork] {
-            let targets = r.try_assign_states(&reqs, &states).unwrap();
-            assert!(
-                targets.iter().all(|t| *t == 0 || *t == 3),
-                "{r:?} routed to a non-serving replica: {targets:?}"
-            );
-        }
-        assert_eq!(
-            Router::RoundRobin
-                .try_assign_states(&reqs, &states)
-                .unwrap(),
-            vec![0, 3, 0, 3, 0, 3]
-        );
-        // No replica accepting work is the same typed error as an empty
-        // fleet.
-        assert_eq!(
-            Router::RoundRobin.try_assign_states(&reqs, &[ReplicaState::Draining]),
-            Err(RouterError::NoReplicas)
-        );
-        // An all-serving fleet matches plain try_assign exactly.
-        let all_up = [ReplicaState::Up; 3];
-        for r in [Router::RoundRobin, Router::LeastWork] {
-            assert_eq!(
-                r.try_assign_states(&reqs, &all_up).unwrap(),
-                r.try_assign(&reqs, 3).unwrap()
-            );
-        }
-    }
-
-    #[test]
     fn try_assign_matches_assign() {
         let reqs: Vec<RequestSpec> = (0..9).map(|i| spec(i, 100 * (i as u32 + 1))).collect();
-        for r in [Router::RoundRobin, Router::LeastWork] {
-            assert_eq!(r.try_assign(&reqs, 3).unwrap(), r.assign(&reqs, 3));
-        }
+        let r = Router::RoundRobin;
+        assert_eq!(r.try_assign(&reqs, 3).unwrap(), r.assign(&reqs, 3));
     }
 }

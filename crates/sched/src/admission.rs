@@ -25,16 +25,6 @@ use crate::{BatchPlan, Constraints, Scheduler};
 pub struct RateLimitScheduler<S> {
     inner: S,
     max_backlog_tokens: u64,
-    /// When true, the backlog measure adds the estimated decode tokens
-    /// still owed by admitted requests. The default (`false`, matching
-    /// [`new`](Self::new)) counts only pending prompt tokens — the
-    /// historical behaviour, which under-rejects late in bursts because
-    /// admitted-but-decoding work is invisible to the cap.
-    include_decode_backlog: bool,
-    /// Decode tokens owed by admitted, not-yet-completed requests. This
-    /// is the spec's decode length — a simulator-oracle estimate; a real
-    /// deployment would use the per-app history instead.
-    outstanding_decode_tokens: u64,
     rejected: Vec<PrefillJob>,
     name: String,
 }
@@ -47,27 +37,9 @@ impl<S: Scheduler> RateLimitScheduler<S> {
         RateLimitScheduler {
             inner,
             max_backlog_tokens,
-            include_decode_backlog: false,
-            outstanding_decode_tokens: 0,
             rejected: Vec::new(),
             name,
         }
-    }
-
-    /// Enables decode-aware backlog accounting: admitted requests keep
-    /// counting toward the cap until their decode completes.
-    pub fn with_decode_backlog(mut self) -> Self {
-        self.include_decode_backlog = true;
-        self
-    }
-
-    /// The backlog measure the cap is compared against.
-    fn backlog_tokens(&self) -> u64 {
-        let mut backlog = self.inner.pending_prefill_tokens();
-        if self.include_decode_backlog {
-            backlog = backlog.saturating_add(self.outstanding_decode_tokens);
-        }
-        backlog
     }
 
     /// Requests rejected so far.
@@ -87,13 +59,10 @@ impl<S: Scheduler> Scheduler for RateLimitScheduler<S> {
     }
 
     fn on_arrival(&mut self, job: PrefillJob, now: SimTime) {
-        if self.backlog_tokens() >= self.max_backlog_tokens {
+        if self.inner.pending_prefill_tokens() >= self.max_backlog_tokens {
             // 429: importance-blind rejection.
             self.rejected.push(job);
         } else {
-            self.outstanding_decode_tokens = self
-                .outstanding_decode_tokens
-                .saturating_add(job.spec.decode_tokens as u64);
             self.inner.on_arrival(job, now);
         }
     }
@@ -108,11 +77,6 @@ impl<S: Scheduler> Scheduler for RateLimitScheduler<S> {
     }
 
     fn on_completion(&mut self, spec: &RequestSpec, observed_decode_tokens: u32) {
-        // Release exactly what admission charged (the spec length), not
-        // the observed count, so the ledger always balances.
-        self.outstanding_decode_tokens = self
-            .outstanding_decode_tokens
-            .saturating_sub(spec.decode_tokens as u64);
         self.inner.on_completion(spec, observed_decode_tokens);
     }
 
@@ -245,7 +209,8 @@ mod tests {
     #[test]
     fn decode_backlog_is_invisible_by_default() {
         // Two admitted requests whose prompts drain instantly but whose
-        // decodes are still owed: the plain cap lets everything through.
+        // decodes are still owed: the prompt-token cap lets everything
+        // through.
         let mut s = limited(500);
         s.on_arrival(PrefillJob::new(spec(0, 300)), SimTime::ZERO);
         s.on_arrival(PrefillJob::new(spec(1, 100)), SimTime::ZERO);
@@ -254,46 +219,6 @@ mod tests {
         }
         assert_eq!(s.pending_prefill_tokens(), 0);
         s.on_arrival(PrefillJob::new(spec(2, 100)), SimTime::ZERO);
-        assert_eq!(s.rejected_count(), 0, "default cap ignores decode debt");
-    }
-
-    #[test]
-    fn decode_aware_cap_counts_admitted_decode_debt() {
-        // Same scenario with decode-aware accounting: big decode debts
-        // keep counting against the cap until completion.
-        let mut s = limited(500).with_decode_backlog();
-        let mut big = spec(0, 300);
-        big.decode_tokens = 400;
-        let mut small = spec(1, 100);
-        small.decode_tokens = 150;
-        s.on_arrival(PrefillJob::new(big), SimTime::ZERO);
-        s.on_arrival(PrefillJob::new(small), SimTime::ZERO);
-        for _ in 0..3 {
-            let _ = s.plan_batch(SimTime::from_secs(1), &[], Constraints::unlimited());
-        }
-        assert_eq!(s.pending_prefill_tokens(), 0);
-        // Prompt backlog is empty but 550 decode tokens are outstanding.
-        s.on_arrival(PrefillJob::new(spec(2, 100)), SimTime::ZERO);
-        assert_eq!(s.rejected_count(), 1, "decode debt must enforce the cap");
-        // Completing the big request releases its charge and re-opens
-        // admission (150 outstanding < 500).
-        s.on_completion(&big, 400);
-        s.on_arrival(PrefillJob::new(spec(3, 100)), SimTime::ZERO);
-        assert_eq!(s.rejected_count(), 1, "admission resumes after release");
-    }
-
-    #[test]
-    fn rejected_jobs_carry_no_decode_charge() {
-        let mut s = limited(100).with_decode_backlog();
-        let mut big = spec(0, 200);
-        big.decode_tokens = 1_000;
-        s.on_arrival(PrefillJob::new(big), SimTime::ZERO);
-        // Bounced: its decode debt must not count.
-        let mut bounced = spec(1, 50);
-        bounced.decode_tokens = 1_000_000;
-        s.on_arrival(PrefillJob::new(bounced), SimTime::ZERO);
-        assert_eq!(s.rejected_count(), 1);
-        // Only the admitted request's debt is on the ledger.
-        assert_eq!(s.backlog_tokens(), 200 + 1_000);
+        assert_eq!(s.rejected_count(), 0, "the cap ignores decode debt");
     }
 }
