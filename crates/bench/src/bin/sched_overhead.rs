@@ -12,6 +12,7 @@ use std::time::Instant;
 
 use qoserve::prelude::*;
 use qoserve_bench::{banner, emit_results};
+use qoserve_metrics::percentile;
 use qoserve_sched::{Constraints, DecodeJob, PrefillJob};
 use qoserve_sim::json;
 
@@ -40,24 +41,31 @@ fn decode_pool(n: u64) -> Vec<DecodeJob> {
         .collect()
 }
 
-/// Mean wall time of `plan_batch` over `reps` fresh schedulers at queue
-/// depth `n`, in microseconds.
+/// Median wall time of `plan_batch` over `reps` fresh schedulers at
+/// queue depth `n`, in microseconds. A discarded plan on another fresh
+/// scheduler runs first, so no counted call pays for cold caches.
 fn plan_cost<F, S>(make: F, n: u64, reps: usize) -> f64
 where
     F: Fn() -> S,
     S: Scheduler,
 {
     let decodes = decode_pool(64);
-    let mut total = std::time::Duration::ZERO;
-    for _ in 0..reps {
+    let plan_us = || {
         let mut sched = make();
         queued(&mut sched, n);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "this bin measures the host's wall time, not simulated time"
+        )]
         let start = Instant::now();
         let plan = sched.plan_batch(SimTime::from_secs(1), &decodes, Constraints::unlimited());
-        total += start.elapsed();
+        let us = start.elapsed().as_secs_f64() * 1e6;
         std::hint::black_box(plan);
-    }
-    total.as_secs_f64() * 1e6 / reps as f64
+        us
+    };
+    plan_us();
+    let samples: Vec<f64> = (0..reps).map(|_| plan_us()).collect();
+    percentile(&samples, 0.5).unwrap_or(0.0)
 }
 
 fn main() {

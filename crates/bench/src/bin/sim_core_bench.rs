@@ -101,6 +101,10 @@ fn measure_point(replicas: u32, requests: usize) -> Point {
     let plan = FaultPlan::none();
     let elastic = ElasticPlan::none();
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this bin measures the host's wall time, not simulated time"
+    )]
     let t0 = Instant::now();
     let lockstep = run_shared_elastic_observed_lockstep(
         &trace,
@@ -116,6 +120,10 @@ fn measure_point(replicas: u32, requests: usize) -> Point {
     .expect("lockstep run routes");
     let lockstep_secs = t0.elapsed().as_secs_f64();
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this bin measures the host's wall time, not simulated time"
+    )]
     let t1 = Instant::now();
     let sharded = run_shared_elastic(
         &trace,

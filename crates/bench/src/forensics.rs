@@ -25,6 +25,8 @@
 //! The attribution is a deterministic function of the trace alone, so the
 //! same `(seed, config)` always explains its violations identically.
 
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use std::collections::BTreeMap;
 
 use qoserve_trace::{TraceEvent, TraceRecord};
@@ -315,7 +317,15 @@ fn describe(r: &TraceRecord, f: &RequestForensics) -> String {
             max_tbt_us as f64 / 1e6,
             if relegated { ", relegated" } else { "" }
         ),
-        other => other.name().to_owned(),
+        other @ (TraceEvent::ChunkBudgetChosen { .. }
+        | TraceEvent::BreakerTransition { .. }
+        | TraceEvent::MarginAdjusted { .. }
+        | TraceEvent::FaultInjected { .. }
+        | TraceEvent::ScaleDecision { .. }
+        | TraceEvent::DrainStarted { .. }
+        | TraceEvent::DrainFinished { .. }
+        | TraceEvent::WarmupComplete { .. }
+        | TraceEvent::IterationExecuted { .. }) => other.name().to_owned(),
     }
 }
 

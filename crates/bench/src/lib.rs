@@ -6,6 +6,19 @@
 //! `cargo run --release -p qoserve-bench --bin <id>`; set
 //! `QOSERVE_SCALE` to stretch measurement windows toward paper scale.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro,
+    )
+)]
+
 use qoserve::prelude::*;
 use qoserve_sim::json;
 use qoserve_sim::json::Value;
@@ -14,9 +27,12 @@ pub mod forensics;
 pub mod top;
 
 /// Prints the standard experiment header.
+#[expect(
+    clippy::print_stdout,
+    reason = "the banner is the experiment bins' console UI"
+)]
 pub fn banner(id: &str, title: &str) {
     let bar = "================================================================";
-    // qoserve-lint: allow(unstructured-output) -- the banner is the experiment bins' console UI
     println!(
         "{bar}\n{id}: {title}\nscale factor {} (set QOSERVE_SCALE to change)\n{bar}",
         qoserve::experiments::scale_factor()
@@ -106,9 +122,12 @@ pub fn write_results_json(id: &str, rows: &[Value]) -> std::io::Result<std::path
 /// a missing `results/` directory must never fail an experiment run.
 pub fn emit_results(id: &str, rows: &[Value]) {
     match write_results_json(id, rows) {
-        // qoserve-lint: allow(unstructured-output) -- console report on behalf of the bins
+        #[expect(clippy::print_stdout, reason = "console report on behalf of the bins")]
         Ok(path) => println!("machine-readable summary: {}", path.display()),
-        // qoserve-lint: allow(unstructured-output) -- best-effort warning on behalf of the bins
+        #[expect(
+            clippy::print_stderr,
+            reason = "best-effort warning on behalf of the bins"
+        )]
         Err(err) => eprintln!("warning: could not write results/{id}.json: {err}"),
     }
 }

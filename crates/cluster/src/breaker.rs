@@ -5,7 +5,7 @@
 //! recovery loop re-dispatches them. A *straggling-but-alive* replica is
 //! worse: it keeps accepting work and keeps missing deadlines. The
 //! breaker closes that gap. Each replica's rolling
-//! [`HealthSnapshot`](qoserve_engine::HealthSnapshot) is thresholded into
+//! [`HealthSnapshot`] is thresholded into
 //! a three-state machine:
 //!
 //! * **Closed** — healthy; receives re-dispatched work normally.
@@ -186,6 +186,10 @@ pub struct PickedTarget {
 
 /// Round-robin over `up` by the caller's rotation cursor. `None` only
 /// when `up` is empty.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "lossy-cast debt: route through `qoserve_sim::nums`"
+)]
 pub fn pick_round_robin(up: &[u32], rotation: u64) -> Option<PickedTarget> {
     if up.is_empty() {
         return None;

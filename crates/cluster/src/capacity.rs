@@ -113,6 +113,10 @@ pub fn max_goodput(
 /// bisected, which assumed the pass predicate is monotone in pool size;
 /// exhaustive probing returns the true minimum even when a mid-size pool
 /// happens to fail, and its answer is independent of thread count.)
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "lossy-cast debt: route through `qoserve_sim::nums`"
+)]
 pub fn min_replicas_for(
     trace: &Trace,
     scheduler: &SchedulerSpec,

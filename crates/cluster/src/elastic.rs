@@ -260,7 +260,10 @@ pub fn run_shared_elastic(
 /// boundary due at the same instant as a control instant fires first, in
 /// both kernels). Observation is contractually invisible: outcomes,
 /// stats, and the fleet log are bit-identical to the unobserved run.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is an independent run input: trace, fleet, scheduler, faults, scaling, seeds and observation"
+)]
 pub fn run_shared_elastic_observed(
     trace: &Trace,
     replicas: u32,
@@ -292,7 +295,10 @@ pub fn run_shared_elastic_observed(
 /// outcomes, counters, trace bytes, and observer callbacks — kept as
 /// the differential oracle for tests and `sim_core_bench`, not as a
 /// production entry point.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is an independent run input: trace, fleet, scheduler, faults, scaling, seeds and observation"
+)]
 pub fn run_shared_elastic_observed_lockstep(
     trace: &Trace,
     replicas: u32,
@@ -336,7 +342,10 @@ enum ExecMode {
 /// next barrier — the earliest pending crash, control instant, or
 /// observation boundary — so the lockstep steps only cover barrier
 /// neighbourhoods. See the module docs for the synchronization argument.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is an independent run input: trace, fleet, scheduler, faults, scaling, seeds and observation"
+)]
 fn run_elastic_inner(
     trace: &Trace,
     replicas: u32,
@@ -471,7 +480,10 @@ impl<'a> Kernel<'a> {
     /// Builds the fleet: the router's static assignment is submitted to
     /// the first `replicas` slots, and slots up to the plan's ceiling
     /// start idle.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the run inputs of `run_elastic_inner` the fleet is built from"
+    )]
     fn new(
         trace: &Trace,
         replicas: u32,

@@ -33,6 +33,22 @@
 //!   autoscaling. With no faults and no scale events it is bit-identical
 //!   to [`run_shared`].
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+    )
+)]
+
 pub mod autoscale;
 pub mod breaker;
 pub mod capacity;

@@ -56,9 +56,12 @@ impl Router {
     ///
     /// Panics when `replicas == 0`; use [`try_assign`](Self::try_assign)
     /// to handle that case as a value.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented `# Panics` wrapper over try_assign"
+    )]
     pub fn assign(&self, requests: &[RequestSpec], replicas: usize) -> Vec<usize> {
         self.try_assign(requests, replicas)
-            // qoserve-lint: allow(panic-hygiene) -- documented `# Panics` wrapper over try_assign
             .expect("at least one replica is required")
     }
 }

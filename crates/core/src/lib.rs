@@ -50,6 +50,19 @@
 //! assert_eq!(report.slo.violations, 0);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro,
+    )
+)]
+
 pub mod experiments;
 pub mod server;
 

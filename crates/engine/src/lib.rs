@@ -21,6 +21,22 @@
 //! * [`disagg`] — helpers for PD-disaggregated prefill-node serving
 //!   (§4.1.3).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+    )
+)]
+
 pub mod disagg;
 pub mod health;
 pub mod kv;

@@ -7,7 +7,7 @@
 //! forward by the observed latency. Requests flow prefill queue → decode
 //! pool → completion; the KV cache bounds admission.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use qoserve_metrics::RequestOutcome;
 use qoserve_perf::{BatchProfile, HardwareConfig, LatencyModel, PrefillChunkProfile};
@@ -306,17 +306,17 @@ pub struct ReplicaEngine {
     noise: ExecutionNoise,
     scheduler: Box<dyn Scheduler>,
     arrivals: CalendarQueue<RequestSpec>,
-    /// Specs of every request that has arrived (engine-side copy; the
-    /// scheduler owns the live prefill job until completion).
-    known_specs: HashMap<RequestId, RequestSpec>,
+    /// Specs of arrived requests not yet admitted (engine-side copy; the
+    /// scheduler owns the live prefill job until completion). Admission
+    /// removes the entry, so the map holds only the queue.
+    known_specs: BTreeMap<RequestId, RequestSpec>,
     /// In-flight request state, slab-allocated so the per-iteration hot
     /// loops index it in O(1) through [`JobRef`]s.
     jobs: JobSlab<Running>,
-    /// Index of in-flight requests. Ordered map, not `HashMap`:
-    /// `take_orphans` drains it into orphans (or, via `finish`, unfinished
-    /// outcomes), and that walk order must be a function of request ids
-    /// alone for replays to be bit-identical (`known_specs` above is
-    /// point-lookup only, so it may stay hashed).
+    /// Index of in-flight requests. Ordered map: `take_orphans` drains it
+    /// into orphans (or, via `finish`, unfinished outcomes), and that walk
+    /// order must be a function of request ids alone for replays to be
+    /// bit-identical.
     running: BTreeMap<RequestId, JobRef>,
     decode_pool: Vec<(RequestId, JobRef)>,
     /// Iteration-scoped scratch (decode snapshot, finished list, batch
@@ -362,7 +362,7 @@ impl ReplicaEngine {
             noise,
             scheduler,
             arrivals: CalendarQueue::new(),
-            known_specs: HashMap::new(),
+            known_specs: BTreeMap::new(),
             jobs: JobSlab::new(),
             running: BTreeMap::new(),
             decode_pool: Vec::new(),
@@ -677,7 +677,7 @@ impl ReplicaEngine {
                 // Fresh admission: reserve the decode growth up front so
                 // the pooled decode can never be evicted (§3.4: decodes
                 // are not preempted).
-                let Some(&spec) = self.known_specs.get(&a.id) else {
+                let Some(spec) = self.known_specs.remove(&a.id) else {
                     if cfg!(debug_assertions) {
                         unreachable!("scheduler planned unknown request {}", a.id);
                     }
@@ -854,7 +854,7 @@ impl ReplicaEngine {
     /// queued, then unarrived) so recovery replays are bit-identical.
     pub fn take_orphans(&mut self) -> Vec<OrphanedJob> {
         let replica = self.config.replica_id;
-        let mut accounted: HashSet<RequestId> = HashSet::new();
+        let mut accounted: BTreeSet<RequestId> = BTreeSet::new();
         let mut orphans: Vec<OrphanedJob> = Vec::new();
         for (id, job) in std::mem::take(&mut self.running) {
             accounted.insert(id);

@@ -66,7 +66,10 @@ pub fn max_supported_load<F: FnMut(f64) -> bool>(
 ) -> Option<f64> {
     match try_max_supported_load(lo, hi, resolution, passes) {
         Ok(result) => result,
-        // qoserve-lint: allow(panic-hygiene) -- documented `# Panics` wrapper for statically valid ranges; fallible path is try_max_supported_load
+        #[expect(
+            clippy::panic,
+            reason = "documented `# Panics` wrapper for statically valid ranges; fallible path is try_max_supported_load"
+        )]
         Err(e) => panic!("{e}"),
     }
 }

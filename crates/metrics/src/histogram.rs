@@ -1,7 +1,7 @@
 //! Streaming log-bucketed latency histogram.
 //!
 //! Long cluster runs produce millions of latency samples; sorting full
-//! vectors per percentile query (as [`percentile`](crate::percentile)
+//! vectors per percentile query (as [`percentile`](fn@crate::percentile)
 //! does) is fine for experiment post-processing but not for online
 //! monitoring. [`LogHistogram`] records samples in logarithmically spaced
 //! buckets — constant memory, O(1) insert, bounded relative quantile
@@ -135,7 +135,10 @@ impl LogHistogram {
     pub fn with_resolution(floor: f64, growth: f64) -> Self {
         match Self::try_with_resolution(floor, growth) {
             Ok(h) => h,
-            // qoserve-lint: allow(panic-hygiene) -- documented `# Panics` wrapper for statically valid configs; fallible path is try_with_resolution
+            #[expect(
+                clippy::panic,
+                reason = "documented `# Panics` wrapper for statically valid configs; fallible path is try_with_resolution"
+            )]
             Err(e) => panic!("{e}"),
         }
     }
@@ -259,9 +262,12 @@ impl LogHistogram {
     ///
     /// Panics if the resolutions differ; use
     /// [`try_merge`](Self::try_merge) to handle the mismatch instead.
+    #[expect(
+        clippy::panic,
+        reason = "documented `# Panics` wrapper for same-resolution merges; fallible path is try_merge"
+    )]
     pub fn merge(&mut self, other: &LogHistogram) {
         if let Err(e) = self.try_merge(other) {
-            // qoserve-lint: allow(panic-hygiene) -- documented `# Panics` wrapper for same-resolution merges; fallible path is try_merge
             panic!("{e}");
         }
     }

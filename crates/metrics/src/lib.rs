@@ -20,6 +20,19 @@
 //! * [`goodput`] — monotone boundary search used for capacity numbers.
 //! * [`report`] — plain-text table rendering for the experiment binaries.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro,
+    )
+)]
+
 pub mod goodput;
 pub mod histogram;
 pub mod outcome;

@@ -9,7 +9,7 @@
 //! stream was cut into deltas.
 //!
 //! Windows are half-open `[k·w, (k+1)·w)` keyed by index `k`, matching
-//! [`RollingSeries`](crate::RollingSeries) bucketing; empty windows are
+//! [`RollingSeries`] bucketing; empty windows are
 //! omitted.
 
 use std::collections::BTreeMap;

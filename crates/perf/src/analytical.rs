@@ -74,6 +74,11 @@ impl LatencyModel {
     }
 
     /// Predicted execution time of one iteration, noise-free.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "lossy-cast debt: route through `qoserve_sim::nums`"
+    )]
     pub fn iteration_time(&self, batch: &BatchProfile) -> SimDuration {
         SimDuration::from_micros(self.iteration_time_us(batch).round() as u64)
     }

@@ -253,6 +253,11 @@ impl HardwareConfig {
     /// HBM bytes left for KV cache on each shard after weights and a fixed
     /// activation/fragmentation reserve.
     pub fn kv_budget_bytes_per_gpu(&self) -> u64 {
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "lossy-cast debt: route through `qoserve_sim::nums`"
+        )]
         let total = (self.gpu.memory_gib * 1024.0 * 1024.0 * 1024.0) as u64;
         let reserve = total / 10; // activations, CUDA context, fragmentation
         total

@@ -39,6 +39,22 @@
 //! assert!(latency.as_millis_f64() > 1.0);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+    )
+)]
+
 pub mod analytical;
 pub mod batch;
 pub mod forest;

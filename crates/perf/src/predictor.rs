@@ -75,8 +75,11 @@ impl LatencyPredictor {
         let samples = profiler.collect(seeds);
         let (rows, labels) = Profiler::to_training_set(&samples);
         let mut rng = seeds.derive("forest-fit");
+        #[expect(
+            clippy::expect_used,
+            reason = "offline training step; the profiler grid is statically non-empty and a silent fallback would hide a broken profile"
+        )]
         let forest = RandomForest::fit(&rows, &labels, RandomForestConfig::default(), &mut rng)
-            // qoserve-lint: allow(panic-hygiene) -- offline training step; the profiler grid is statically non-empty and a silent fallback would hide a broken profile
             .expect("profiler always yields a non-empty training set");
         LatencyPredictor {
             backend: Backend::Forest {
@@ -145,6 +148,11 @@ impl LatencyPredictor {
     }
 
     /// Predicted iteration latency including the safety margin.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "lossy-cast debt: route through `qoserve_sim::nums`"
+    )]
     pub fn predict(&self, batch: &BatchProfile) -> SimDuration {
         SimDuration::from_micros((self.predict_raw_us(batch) * (1.0 + self.margin)).round() as u64)
     }
@@ -208,6 +216,10 @@ struct MemoKey {
 
 impl MemoKey {
     /// Direct-mapped slot index (FNV-1a over the key words).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "lossy-cast debt: route through `qoserve_sim::nums`"
+    )]
     fn slot(&self) -> usize {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for word in [

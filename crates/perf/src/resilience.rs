@@ -1,6 +1,7 @@
 //! Online misprediction tracking and the adaptive safety margin.
 //!
-//! The static predictor margin ([`LatencyPredictor::DEFAULT_MARGIN`])
+//! The static predictor margin
+//! ([`LatencyPredictor::DEFAULT_MARGIN`](crate::LatencyPredictor::DEFAULT_MARGIN))
 //! encodes an *offline* belief about model error. Under injected faults
 //! that belief goes stale: straggler and predictor-drift windows inflate
 //! observed iteration latency while the predictor keeps quoting clean
@@ -131,6 +132,11 @@ impl ErrorTracker {
         let mut scratch = self.ring.clone();
         sort_f64(&mut scratch);
         let q = q.clamp(0.0, 1.0);
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "lossy-cast debt: route through `qoserve_sim::nums`"
+        )]
         let rank = ((scratch.len() as f64 - 1.0) * q).round() as usize;
         Some(scratch[rank.min(scratch.len() - 1)])
     }

@@ -9,7 +9,7 @@
 //!    per-application history of generated token counts and
 //!    over-approximates by two standard deviations.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use qoserve_perf::{BatchProfile, LatencyPredictor};
 use qoserve_sim::{OnlineStats, SimDuration};
@@ -38,7 +38,7 @@ pub struct ProcessingEstimator {
     /// Fallback decode-length estimate before any history exists.
     default_decode_tokens: f64,
     /// Per-application decode-length history.
-    history: HashMap<u32, OnlineStats>,
+    history: BTreeMap<u32, OnlineStats>,
 }
 
 impl ProcessingEstimator {
@@ -77,7 +77,7 @@ impl ProcessingEstimator {
             base_decode_us_per_token: decode_us_per_token,
             recalibrations: 0,
             default_decode_tokens: 200.0,
-            history: HashMap::new(),
+            history: BTreeMap::new(),
         }
     }
 
@@ -131,11 +131,21 @@ impl ProcessingEstimator {
     }
 
     /// Estimated time to process `tokens` of prefill.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "lossy-cast debt: route through `qoserve_sim::nums`"
+    )]
     pub fn prefill_time(&self, tokens: u32) -> SimDuration {
         SimDuration::from_micros((tokens as f64 * self.prefill_us_per_token).round() as u64)
     }
 
     /// Estimated time to decode `tokens` output tokens.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "lossy-cast debt: route through `qoserve_sim::nums`"
+    )]
     pub fn decode_time(&self, tokens: f64) -> SimDuration {
         SimDuration::from_micros((tokens.max(0.0) * self.decode_us_per_token).round() as u64)
     }

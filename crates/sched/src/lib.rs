@@ -32,6 +32,22 @@
 //! [`Scheduler::plan_batch`] with the decode snapshot and resource
 //! [`Constraints`], and receives a [`BatchPlan`].
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+    )
+)]
+
 pub mod admission;
 pub mod conserve;
 pub mod deadline;

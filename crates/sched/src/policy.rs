@@ -27,9 +27,17 @@ impl OrderPolicy {
     /// The priority key for `job` (smaller = sooner).
     pub fn key(&self, job: &PrefillJob) -> i64 {
         match self {
+            #[expect(
+                clippy::cast_possible_wrap,
+                reason = "lossy-cast debt: route through `qoserve_sim::nums`"
+            )]
             OrderPolicy::Fcfs => job.spec.arrival.as_micros() as i64,
             OrderPolicy::Sjf => job.spec.prompt_tokens as i64,
             OrderPolicy::Srpf => job.remaining_tokens() as i64,
+            #[expect(
+                clippy::cast_possible_wrap,
+                reason = "lossy-cast debt: route through `qoserve_sim::nums`"
+            )]
             OrderPolicy::Edf => job.urgency_deadline().as_micros() as i64,
         }
     }

@@ -257,6 +257,10 @@ impl QoServeScheduler {
     /// the overload signal that triggers preferential relegation of
     /// low-priority jobs.
     fn backlog_overloaded(&self) -> bool {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "lossy-cast debt: route through `qoserve_sim::nums`"
+        )]
         let drain = self
             .estimator
             .prefill_time(self.live_backlog_tokens().min(u32::MAX as u64) as u32);
@@ -264,6 +268,10 @@ impl QoServeScheduler {
     }
 
     /// Computes the prefill token budget for this iteration.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "lossy-cast debt: route through `qoserve_sim::nums`"
+    )]
     fn compute_budget(&mut self, now: SimTime, decodes: &[DecodeJob]) -> u32 {
         if !self.config.dynamic_chunking {
             return self.config.fixed_chunk.saturating_sub(decodes.len() as u32);

@@ -17,9 +17,9 @@
 //! heap from live entries) once they outnumber live jobs ~2×; long
 //! overload runs keep `pop`/`peek` at their live-size cost.
 //!
-//! [`JobQueue::fill`] is Algorithm 1's batch-filling loop (lines 10–23)
+//! `JobQueue::fill` is Algorithm 1's batch-filling loop (lines 10–23)
 //! and the only loop that pops jobs into a plan: every scheduler that
-//! packs several prefills into a batch calls it, and [`Room`] is the one
+//! packs several prefills into a batch calls it, and `Room` is the one
 //! owner of the per-iteration token, KV and fresh-request limits.
 
 use std::cmp::Reverse;

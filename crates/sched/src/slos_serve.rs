@@ -125,6 +125,10 @@ impl SlosServeScheduler {
                 .clamp_non_negative()
                 .as_micros()
                 / block_us;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "lossy-cast debt: route through `qoserve_sim::nums`"
+            )]
             let deadline_blocks = (deadline_blocks as usize).min(horizon_blocks);
 
             let mut row = vec![false; horizon_blocks + 1];

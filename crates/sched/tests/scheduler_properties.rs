@@ -126,7 +126,7 @@ fn run_scenario(sched: &mut dyn Scheduler, s: &QueueScenario) {
     };
 
     let admitted_tokens: u64 = sched.pending_prefill_tokens();
-    let mut progress: std::collections::HashMap<RequestId, u32> = Default::default();
+    let mut progress: std::collections::BTreeMap<RequestId, u32> = Default::default();
 
     // Run several consecutive planning rounds to exercise partial
     // progress and reinsertion paths.
@@ -149,7 +149,7 @@ fn run_scenario(sched: &mut dyn Scheduler, s: &QueueScenario) {
             );
         }
         // Invariant 3: no duplicate request in one plan.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for a in &plan.prefill {
             assert!(
                 seen.insert(a.id),

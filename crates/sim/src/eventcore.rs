@@ -8,10 +8,9 @@
 //!   radix-heap overflow, ordered by the total key
 //!   `(time_us, sub, seq)` — the same total order the decision trace is
 //!   canonicalised by (`sub` carries the replica index there). Events at
-//!   the same `(time, sub)` pop in push order (the monotone `seq`), so a
-//!   calendar queue is a drop-in replacement for
-//!   [`EventQueue`](crate::EventQueue) wherever a secondary key is
-//!   threaded through. Pops are O(bucket) instead of O(log n), and the
+//!   the same `(time, sub)` pop in push order (the monotone `seq`), so
+//!   with a constant `sub` it pops exactly like a binary heap keyed by
+//!   `(time, push order)`, the reference its tests compare against. Pops are O(bucket) instead of O(log n), and the
 //!   common simulation pattern — pushes clustered a few iterations ahead
 //!   of the pop frontier — stays inside the wheel entirely.
 //! * [`JobSlab`] is a free-list arena handing out generation-checked
@@ -481,10 +480,12 @@ impl<T> JobSlab<T> {
                 generation: slot.generation,
             }
         } else {
-            let index = u32::try_from(self.slots.len()).unwrap_or_else(|_| {
-                // qoserve-lint: allow(panic-hygiene) -- 4 billion live jobs means the simulation itself is broken
-                panic!("JobSlab overflow")
-            });
+            #[expect(
+                clippy::panic,
+                reason = "4 billion live jobs means the simulation itself is broken"
+            )]
+            let index =
+                u32::try_from(self.slots.len()).unwrap_or_else(|_| panic!("JobSlab overflow"));
             self.slots.push(SlabSlot {
                 generation: 0,
                 value: Some(value),
@@ -647,7 +648,7 @@ mod tests {
 
     #[test]
     fn matches_event_queue_order_with_zero_sub() {
-        use crate::EventQueue;
+        use crate::events::EventQueue;
         let times = [7u64, 7, 3, 900_000, 7, 3, 12_000_000, 0, 900_000];
         let mut cq = CalendarQueue::new();
         let mut eq = EventQueue::new();

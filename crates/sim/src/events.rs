@@ -1,4 +1,6 @@
-//! A stable, time-ordered event queue.
+//! A stable, time-ordered event queue: the test-only reference model
+//! that `eventcore`'s tests check [`CalendarQueue`](crate::CalendarQueue)
+//! against.
 //!
 //! [`EventQueue`] wraps a binary heap keyed by [`SimTime`] with a
 //! monotonically increasing sequence number as tie-breaker, so events
@@ -11,21 +13,6 @@ use std::collections::BinaryHeap;
 use crate::time::SimTime;
 
 /// An event queue ordered by time, FIFO among equal timestamps.
-///
-/// # Example
-///
-/// ```
-/// use qoserve_sim::{EventQueue, SimTime};
-///
-/// let mut q = EventQueue::new();
-/// q.push(SimTime::from_secs(2), "b");
-/// q.push(SimTime::from_secs(1), "a");
-/// q.push(SimTime::from_secs(2), "c");
-/// assert_eq!(q.pop(), Some((SimTime::from_secs(1), "a")));
-/// assert_eq!(q.pop(), Some((SimTime::from_secs(2), "b")));
-/// assert_eq!(q.pop(), Some((SimTime::from_secs(2), "c")));
-/// assert_eq!(q.pop(), None);
-/// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<T> {
     heap: BinaryHeap<Entry<T>>,
@@ -68,14 +55,6 @@ impl<T> EventQueue<T> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Creates an empty queue with room for `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
             next_seq: 0,
         }
     }

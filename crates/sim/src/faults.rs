@@ -409,7 +409,10 @@ fn generate_crashes(
 }
 
 /// Draws non-overlapping slowdown windows of one class for one replica.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one call per window class, each with its own rate, duration, factor and drift flag"
+)]
 fn generate_windows(
     label: &str,
     rate_per_hour: f64,

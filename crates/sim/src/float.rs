@@ -6,9 +6,11 @@
 //! NaN-swallowing comparator (`unwrap_or(Equal)`) silently violates
 //! strict weak ordering and can corrupt the sort. The scheduler's hybrid
 //! priority key (Eq. 4/5) and the metrics quantile path both order
-//! floats, so `qoserve-lint` bans `partial_cmp`-based comparators
-//! everywhere (`float-ordering` rule) *except* this file, and everything
-//! routes through these helpers instead. `f64::total_cmp` implements the
+//! floats, so a test in this file bans `partial_cmp` calls in every
+//! crate's `src/` *except* this file, and everything routes through
+//! these helpers instead. (Clippy cannot carry that ban: listing
+//! `PartialOrd::partial_cmp` in `disallowed-methods` also fires on every
+//! `#[derive(PartialOrd)]`.) `f64::total_cmp` implements the
 //! IEEE 754 `totalOrder` predicate: every NaN has a defined place
 //! (positive NaN sorts after +∞), so the order is total, deterministic,
 //! and panic-free.
@@ -38,18 +40,121 @@ pub fn sort_f64(xs: &mut [f64]) {
 /// *front* of the queue — is pinned to `i64::MAX` so a poisoned priority
 /// sorts last and can never starve well-formed jobs.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the saturating f64-to-i64 `as` semantics ARE the documented contract of this helper"
+)]
 pub fn priority_micros(x: f64) -> i64 {
     if x.is_nan() {
         i64::MAX
     } else {
-        // qoserve-lint: allow(lossy-cast) -- the saturating f64-to-i64 `as` semantics ARE the documented contract of this helper
         x as i64
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::fs;
+    use std::path::Path;
+
     use super::*;
+
+    /// `src` with every `//` and `/* */` comment removed (newlines kept,
+    /// so byte offsets still give line numbers). String and char literals
+    /// are copied whole, so a `//` inside one is not taken for a comment.
+    fn strip_comments(src: &str) -> String {
+        let b = src.as_bytes();
+        let mut out = Vec::with_capacity(b.len());
+        let (mut i, mut depth) = (0, 0);
+        while i < b.len() {
+            let rest = &b[i..];
+            i += if depth == 0 && rest.starts_with(b"//") {
+                rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len())
+            } else if rest.starts_with(b"/*") {
+                depth += 1;
+                2
+            } else if depth > 0 && rest.starts_with(b"*/") {
+                depth -= 1;
+                2
+            } else if depth > 0 {
+                if rest[0] == b'\n' {
+                    out.push(b'\n');
+                }
+                1
+            } else {
+                let n = literal_len(rest).unwrap_or(1);
+                out.extend_from_slice(&rest[..n]);
+                n
+            };
+        }
+        String::from_utf8_lossy(&out).into_owned()
+    }
+
+    /// Byte length of the string or char literal `rest` starts with. A
+    /// `'` opens a char literal only as `'x'` or `'\..'`; otherwise it is
+    /// a lifetime.
+    fn literal_len(rest: &[u8]) -> Option<usize> {
+        let q = *rest.first()?;
+        let char_literal = rest.get(1) == Some(&b'\\') || rest.get(2) == Some(&b'\'');
+        if q != b'"' && !(q == b'\'' && char_literal) {
+            return None;
+        }
+        let mut j = 1;
+        while j < rest.len() && rest[j] != q {
+            j += if rest[j] == b'\\' { 2 } else { 1 };
+        }
+        Some((j + 1).min(rest.len()))
+    }
+
+    /// The float-ordering rule: no `partial_cmp` call in any crate's
+    /// `src/` outside `fn partial_cmp(` definitions and this file.
+    #[test]
+    fn no_partial_cmp_outside_the_float_helpers() {
+        let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        let mut dirs = vec![];
+        for krate in fs::read_dir(&crates).expect("crates/ is readable") {
+            dirs.push(krate.expect("crates/ entry").path().join("src"));
+        }
+        let mut offenders = vec![];
+        while let Some(dir) = dirs.pop() {
+            let Ok(entries) = fs::read_dir(&dir) else {
+                continue;
+            };
+            for entry in entries {
+                let path = entry.expect("src/ entry").path();
+                if path.is_dir() {
+                    dirs.push(path);
+                    continue;
+                }
+                if path.extension().is_none_or(|e| e != "rs") || path.ends_with("sim/src/float.rs")
+                {
+                    continue;
+                }
+                let code = strip_comments(&fs::read_to_string(&path).expect("source is UTF-8"));
+                for (at, _) in code.match_indices("partial_cmp(") {
+                    if !code[..at].ends_with("fn ") {
+                        let line = code[..at].matches('\n').count() + 1;
+                        offenders.push(format!("{}:{line}", path.display()));
+                    }
+                }
+            }
+        }
+        assert!(
+            offenders.is_empty(),
+            "`partial_cmp` is not a total order under NaN; use `f64::total_cmp` \
+             (see `qoserve_sim::float`): {offenders:?}"
+        );
+    }
+
+    #[test]
+    fn comments_are_stripped_but_literals_are_kept() {
+        let src = "a // x.partial_cmp(y)\nb /* c /* d */ partial_cmp( */ e\n\
+                   \"// kept\" '\"' '/' f<'g>(x: &'g str) // gone";
+        assert_eq!(
+            strip_comments(src),
+            "a \nb  e\n\"// kept\" '\"' '/' f<'g>(x: &'g str) "
+        );
+    }
 
     #[test]
     fn cmp_is_total_under_nan() {

@@ -698,14 +698,18 @@ macro_rules! json {
     (null) => {
         $crate::json::Value::Null
     };
+    ([]) => {
+        $crate::json::Value::Array(Vec::new())
+    };
+    ({}) => {
+        $crate::json::Value::Object(Vec::new())
+    };
     ([ $($tt:tt)* ]) => {{
-        #[allow(unused_mut)]
         let mut items = Vec::new();
         $crate::json!(@list items; $($tt)*);
         $crate::json::Value::Array(items)
     }};
     ({ $($tt:tt)* }) => {{
-        #[allow(unused_mut)]
         let mut members = Vec::new();
         $crate::json!(@list members; $($tt)*);
         $crate::json::Value::Object(members)

@@ -14,12 +14,11 @@
 //! * Randomness flows from a single `u64` seed through [`rng::SeedStream`],
 //!   which derives independent ChaCha8 substreams by label. Two runs with
 //!   the same seed produce identical traces, arrivals, and noise.
-//! * [`events::EventQueue`] is a stable priority queue: events at the same
-//!   timestamp pop in push order, so simulations never depend on heap
-//!   tie-breaking.
-//! * [`eventcore`] holds the hot-path variants: [`CalendarQueue`] (a
-//!   bucketed timing wheel with a radix-heap overflow, totally ordered by
-//!   `(time_us, sub, seq)` — the trace's canonical order) and [`JobSlab`]
+//! * [`eventcore`] holds the event queue and the job arena:
+//!   [`CalendarQueue`] (a bucketed timing wheel with a radix-heap
+//!   overflow, totally ordered by `(time_us, sub, seq)` — the trace's
+//!   canonical order — so events at the same instant pop in push order
+//!   and simulations never depend on heap tie-breaking) and [`JobSlab`]
 //!   (a generation-checked slab arena for in-flight jobs). Both are
 //!   pop-for-pop identical to their naive references; only the constant
 //!   factors differ.
@@ -29,7 +28,7 @@
 //! * [`parallel::par_map`] runs independent seeded tasks across cores
 //!   (`QOSERVE_THREADS` overrides the worker count) while keeping output
 //!   order-preserving and bit-identical to serial execution.
-//! * [`json`] is the codec for everything the workspace persists (trace
+//! * [`json`](mod@json) is the codec for everything the workspace persists (trace
 //!   JSONL, stats streams, experiment rows), and [`rng::forall`] is the
 //!   seeded property-test loop every crate's tests use.
 //! * This is the only crate that names `rand`: the others draw through
@@ -46,8 +45,25 @@
 //! assert_eq!(later.signed_duration_since(start).as_millis_f64(), 50.0);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+    )
+)]
+
 pub mod eventcore;
-pub mod events;
+#[cfg(test)]
+mod events;
 pub mod faults;
 pub mod float;
 pub mod json;
@@ -58,7 +74,6 @@ pub mod stats;
 pub mod time;
 
 pub use eventcore::{CalendarQueue, JobRef, JobSlab};
-pub use events::EventQueue;
 pub use faults::{
     CrashEvent, FaultConfig, FaultEvent, FaultKind, FaultSchedule, ReplicaFaultProfile, SlowWindow,
 };

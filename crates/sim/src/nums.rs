@@ -12,6 +12,13 @@
 //! bit-identical — and debug-asserts when a supposedly lossless
 //! conversion would actually lose information.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap,
+    reason = "the sanctioned cast helpers: each names its clamp, saturate or widen policy"
+)]
+
 /// Rounds a microsecond quantity to the nearest whole tick. Negative and
 /// NaN inputs clamp to zero; values beyond `u64::MAX` saturate. (These
 /// are the `f64 as u64` semantics the time types have always used, made

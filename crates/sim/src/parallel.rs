@@ -33,7 +33,6 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::thread;
 
 /// Environment variable overriding the worker-thread count.
@@ -106,8 +105,19 @@ where
     // task, so load-imbalanced grids (e.g. overloaded QPS points that
     // simulate far more work) stay busy on all cores without any
     // order-sensitive work stealing.
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "one uncontended acquisition per *task*, not per iteration: the atomic index claim guarantees a single owner per slot"
+    )]
+    let slots: Vec<_> = items
+        .into_iter()
+        .map(|x| std::sync::Mutex::new(Some(x)))
+        .collect();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "one uncontended acquisition per *task*, not per iteration: the atomic index claim guarantees a single owner per slot"
+    )]
+    let results: Vec<_> = (0..n).map(|_| std::sync::Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
 
     thread::scope(|scope| {
@@ -117,27 +127,39 @@ where
                 if i >= n {
                     break;
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a poisoned slot means `f` panicked on another worker, which the scope re-raises; the atomic index claim gives each slot one taker"
+                )]
                 let item = slots[i]
-                    // qoserve-lint: allow(lock-discipline) -- one uncontended acquisition per *task*, not per iteration: the atomic index claim guarantees a single owner per slot
                     .lock()
                     .expect("task slot poisoned")
                     .take()
                     .expect("task claimed twice");
                 let out = f(i, item);
-                // qoserve-lint: allow(lock-discipline) -- one uncontended acquisition per *task*, not per iteration: the atomic index claim guarantees a single owner per slot
-                *results[i].lock().expect("result slot poisoned") = Some(out);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a poisoned slot means `f` panicked on another worker, which the scope re-raises"
+                )]
+                let mut result = results[i].lock().expect("result slot poisoned");
+                *result = Some(out);
             });
         }
     });
 
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
+    let mut out = Vec::with_capacity(n);
+    for slot in results {
+        #[expect(
+            clippy::expect_used,
+            reason = "the scope has joined every worker and re-raised any panic, so each slot is unpoisoned and filled"
+        )]
+        out.push(
+            slot.into_inner()
                 .expect("result slot poisoned")
-                .expect("worker exited without storing a result")
-        })
-        .collect()
+                .expect("worker exited without storing a result"),
+        );
+    }
+    out
 }
 
 /// Parallel counterpart of `qoserve_metrics::max_supported_load`: finds

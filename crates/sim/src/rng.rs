@@ -88,6 +88,10 @@ impl SeedStream {
 ///     assert_eq!(a + b, b + a);
 /// });
 /// ```
+#[expect(
+    clippy::panic,
+    reason = "forall is a test helper; a failing case must fail the calling test"
+)]
 pub fn forall(cases: u64, seed: u64, mut property: impl FnMut(&mut SimRng)) {
     let seeds = SeedStream::new(seed);
     for case in 0..cases {
@@ -98,7 +102,6 @@ pub fn forall(cases: u64, seed: u64, mut property: impl FnMut(&mut SimRng)) {
                 .map(|s| (*s).to_owned())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_default();
-            // qoserve-lint: allow(panic-hygiene) -- forall is a test helper; a failing case must fail the calling test
             panic!("property failed at case {case} of {cases} (seed {seed}): {msg}");
         }
     }
@@ -218,7 +221,7 @@ mod tests {
         let mut samples: Vec<f64> = (0..40_000)
             .map(|_| lognormal_from_percentiles(&mut rng, 1000.0, 3.0, 1.0, 1e9))
             .collect();
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        samples.sort_by(f64::total_cmp);
         let p50 = samples[samples.len() / 2];
         let p90 = samples[samples.len() * 9 / 10];
         assert!((p50 / 1000.0 - 1.0).abs() < 0.05, "p50 was {p50}");

@@ -30,6 +30,8 @@
 //! consulted (same-stamp events sorting after it cannot), which is
 //! deterministic by the canonical fold order.
 
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use std::collections::BTreeMap;
 
 use qoserve_metrics::{WindowedCounts, WindowedSamples};

@@ -28,6 +28,19 @@
 //! schema-tolerant: every container tolerates missing and unknown
 //! fields, and deltas [`compose`] to the full snapshot bit-exactly.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro,
+    )
+)]
+
 pub mod aggregate;
 pub mod live;
 pub mod server;

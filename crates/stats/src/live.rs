@@ -23,7 +23,7 @@
 //! rather than panicking, matching the tracer's discipline.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use qoserve_sim::SimTime;
 use qoserve_trace::{ControlObserver, NullSink, TraceRecord, TraceSink};
@@ -34,7 +34,11 @@ use crate::snapshot::{SnapshotStream, StatsDelta, StatsSnapshot};
 /// Shared, cloneable access to one [`StatsAggregator`].
 #[derive(Clone)]
 pub struct StatsHandle {
-    inner: Arc<Mutex<StatsAggregator>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "stats are opt-in: an unobserved run builds no handle and never locks; an observed run pays one uncontended lock per folded record"
+    )]
+    inner: Arc<std::sync::Mutex<StatsAggregator>>,
     cadence_us: u64,
 }
 
@@ -48,11 +52,15 @@ impl std::fmt::Debug for StatsHandle {
 
 impl StatsHandle {
     /// A fresh aggregator behind a shared handle.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "stats are opt-in: an unobserved run builds no handle and never locks; an observed run pays one uncontended lock per folded record"
+    )]
     pub fn new(config: StatsConfig) -> StatsHandle {
         let agg = StatsAggregator::new(config);
         let cadence_us = agg.cadence_us();
         StatsHandle {
-            inner: Arc::new(Mutex::new(agg)),
+            inner: Arc::new(std::sync::Mutex::new(agg)),
             cadence_us,
         }
     }

@@ -5,6 +5,8 @@
 //! [`TraceSink::snapshot`](crate::TraceSink::snapshot)) and emit keys in
 //! a fixed order, so output bytes are a pure function of the record list.
 
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use qoserve_sim::json;
 use qoserve_sim::json::{ToJson, Value};
 

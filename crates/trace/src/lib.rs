@@ -33,6 +33,19 @@
 //! pre-allocates each replica's ring on that replica's first event and
 //! never allocates per event afterwards (records are `Copy`).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro,
+    )
+)]
+
 pub mod event;
 pub mod export;
 pub mod observe;

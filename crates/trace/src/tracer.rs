@@ -2,7 +2,7 @@
 //! recovery orchestrator.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use qoserve_sim::SimTime;
 
@@ -44,7 +44,11 @@ impl TracerInner {
 /// so per-replica clones move into the cluster's replica threads.
 #[derive(Clone, Default)]
 pub struct Tracer {
-    shared: Option<Arc<Mutex<TracerInner>>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a disabled tracer (the default in timed runs) returns above and never locks; when tracing is on, contention is the cost the user opted into"
+    )]
+    shared: Option<Arc<std::sync::Mutex<TracerInner>>>,
     replica: u32,
 }
 
@@ -66,12 +70,16 @@ impl Tracer {
     /// A tracer capturing into `sink`. A sink reporting
     /// `enabled() == false` (e.g. [`NullSink`](crate::NullSink)) yields
     /// the fully-disabled tracer, so the hot path never locks for it.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a disabled tracer (the default in timed runs) returns above and never locks; when tracing is on, contention is the cost the user opted into"
+    )]
     pub fn new(sink: Box<dyn TraceSink>) -> Tracer {
         if !sink.enabled() {
             return Tracer::disabled();
         }
         Tracer {
-            shared: Some(Arc::new(Mutex::new(TracerInner {
+            shared: Some(Arc::new(std::sync::Mutex::new(TracerInner {
                 sink,
                 now: BTreeMap::new(),
                 next_seq: BTreeMap::new(),
@@ -120,7 +128,6 @@ impl Tracer {
     /// [`emit`](Tracer::emit) calls for the replica stamp this time.
     pub fn set_now(&self, now: SimTime) {
         let Some(shared) = &self.shared else { return };
-        // qoserve-lint: allow(lock-discipline) -- a disabled tracer (the default in timed runs) returns above and never locks; when tracing is on, contention is the cost the user opted into
         let Ok(mut inner) = shared.lock() else { return };
         inner.now.insert(self.replica, now);
     }
@@ -129,7 +136,6 @@ impl Tracer {
     /// (`SimTime::ZERO` before the first `set_now`).
     pub fn emit(&self, request: Option<u64>, event: TraceEvent) {
         let Some(shared) = &self.shared else { return };
-        // qoserve-lint: allow(lock-discipline) -- a disabled tracer (the default in timed runs) returns above and never locks; when tracing is on, contention is the cost the user opted into
         let Ok(mut inner) = shared.lock() else { return };
         let at = inner
             .now
@@ -143,7 +149,6 @@ impl Tracer {
     /// whose time is not the replica's step clock).
     pub fn emit_at(&self, at: SimTime, request: Option<u64>, event: TraceEvent) {
         let Some(shared) = &self.shared else { return };
-        // qoserve-lint: allow(lock-discipline) -- a disabled tracer (the default in timed runs) returns above and never locks; when tracing is on, contention is the cost the user opted into
         let Ok(mut inner) = shared.lock() else { return };
         inner.record_at(at, self.replica, request, event);
     }
@@ -162,7 +167,6 @@ impl Tracer {
     /// Records evicted by the sink's capacity limit.
     pub fn dropped(&self) -> u64 {
         let Some(shared) = &self.shared else { return 0 };
-        // qoserve-lint: allow(lock-discipline) -- cold query accessor, never on the step path; the name-graph edge is `TraceSink::dropped` (a lock-free counter read in the stats tee), not this method
         let Ok(inner) = shared.lock() else { return 0 };
         inner.sink.dropped()
     }

@@ -32,6 +32,19 @@
 //! assert_eq!(trace.len(), 100);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::dbg_macro,
+    )
+)]
+
 pub mod arrivals;
 pub mod dataset;
 pub mod qos;

@@ -70,6 +70,10 @@ impl TierMix {
     }
 
     /// Draws a tier according to the weights.
+    #[expect(
+        clippy::expect_used,
+        reason = "`new` asserts the mix is non-empty; the fall-through only catches float rounding past the last weight"
+    )]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> QosTier {
         let total: f64 = self.entries.iter().map(|(_, w)| w).sum();
         let mut x = rng.gen_range(0.0..total);
