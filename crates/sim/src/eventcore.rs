@@ -10,9 +10,10 @@
 //!   canonicalised by (`sub` carries the replica index there). Events at
 //!   the same `(time, sub)` pop in push order (the monotone `seq`), so
 //!   with a constant `sub` it pops exactly like a binary heap keyed by
-//!   `(time, push order)`, the reference its tests compare against. Pops are O(bucket) instead of O(log n), and the
-//!   common simulation pattern — pushes clustered a few iterations ahead
-//!   of the pop frontier — stays inside the wheel entirely.
+//!   `(time, push order)`, the reference its tests compare against. Pops
+//!   are O(bucket) instead of O(log n), and the common simulation
+//!   pattern — pushes clustered a few iterations ahead of the pop
+//!   frontier — stays inside the wheel entirely.
 //! * [`JobSlab`] is a free-list arena handing out generation-checked
 //!   [`JobRef`] indices. Hot loops index jobs in O(1) without hashing or
 //!   per-job boxing, and a stale reference (use after free / after slot

@@ -953,6 +953,15 @@ mod tests {
     }
 
     #[test]
+    fn mutated_documents_decode_or_fail_without_panicking() {
+        let doc = to_value(&sample()).to_pretty();
+        assert_eq!(from_str::<Sample>(&doc), Ok(sample()));
+        crate::forall(10_000, 16, |rng| {
+            let _ = from_str::<Sample>(&crate::mutate(&doc, rng));
+        });
+    }
+
+    #[test]
     fn wrong_shapes_are_decode_errors() {
         assert!(from_str::<Sample>("[]").is_err());
         let err = from_str::<Sample>(r#"{"tags":[[1]]}"#).unwrap_err();

@@ -81,6 +81,6 @@ pub use float::{cmp_f64, priority_micros, sort_f64};
 pub use parallel::{par_map, par_map_threads, par_max_passing, thread_limit};
 pub use rand::seq::SliceRandom;
 pub use rand::{Rng, RngCore};
-pub use rng::{forall, SeedStream, SimRng};
+pub use rng::{forall, mutate, SeedStream, SimRng};
 pub use stats::OnlineStats;
 pub use time::{SimDuration, SimTime};

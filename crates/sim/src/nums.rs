@@ -4,13 +4,15 @@
 //! Simulated time is integer microseconds and token budgets are integer
 //! counts, so conversion mistakes corrupt results silently: `as` truncates
 //! (`u128 as u64`), wraps (`i64 as u64`), or clamps (`f64 as u64`) with no
-//! panic to point at the site. `qoserve-lint` bans integer-target `as`
-//! casts in the time/token-math crates (`lossy-cast` rule) *except* this
-//! file, and everything routes through these helpers instead. Each helper
-//! names its policy (clamp, saturate, widen) in its signature, keeps the
-//! exact semantics the call sites have always had — replayed traces stay
-//! bit-identical — and debug-asserts when a supposedly lossless
-//! conversion would actually lose information.
+//! panic to point at the site. The time/token-math crates (sim, engine,
+//! sched, cluster, perf) deny clippy's `cast_possible_truncation`,
+//! `cast_sign_loss` and `cast_possible_wrap` in library code; this file
+//! is the one module-level exception, and everything routes through
+//! these helpers instead. Each helper names its policy (clamp, saturate,
+//! widen) in its signature, keeps the exact semantics the call sites
+//! have always had — replayed traces stay bit-identical — and
+//! debug-asserts when a supposedly lossless conversion would actually
+//! lose information.
 
 #![expect(
     clippy::cast_possible_truncation,

@@ -107,6 +107,56 @@ pub fn forall(cases: u64, seed: u64, mut property: impl FnMut(&mut SimRng)) {
     }
 }
 
+/// One seeded corruption of `doc`, for fuzzing a loader of outside bytes
+/// under [`forall`]: a truncation at a char boundary, one character
+/// replaced by a random ASCII byte, a line duplicated or two swapped, or
+/// a number replaced by `1e999999`, `18446744073709551616` or `NaN`. The
+/// result stays valid UTF-8, since the loaders take `&str`.
+pub fn mutate(doc: &str, rng: &mut SimRng) -> String {
+    if doc.is_empty() {
+        return String::new();
+    }
+    let mut out = doc.to_owned();
+    match rng.gen_range(0..4) {
+        0 => {
+            let mut end = rng.gen_range(0..=doc.len());
+            while !doc.is_char_boundary(end) {
+                end -= 1;
+            }
+            out.truncate(end);
+        }
+        1 => {
+            let chars: Vec<(usize, char)> = doc.char_indices().collect();
+            let (at, c) = chars[rng.gen_range(0..chars.len())];
+            let byte = char::from(rng.gen_range(0u8..128));
+            out.replace_range(at..at + c.len_utf8(), byte.encode_utf8(&mut [0; 4]));
+        }
+        2 => {
+            let mut lines: Vec<&str> = doc.split_inclusive('\n').collect();
+            let (i, j) = (rng.gen_range(0..lines.len()), rng.gen_range(0..lines.len()));
+            if rng.gen_bool(0.5) {
+                lines.insert(i, lines[i]);
+            } else {
+                lines.swap(i, j);
+            }
+            out = lines.concat();
+        }
+        _ => {
+            let b = doc.as_bytes();
+            let digits: Vec<usize> = (0..b.len()).filter(|&i| b[i].is_ascii_digit()).collect();
+            if !digits.is_empty() {
+                let in_number = |i: &usize| b[*i].is_ascii_digit() || b"+-.eE".contains(&b[*i]);
+                let pick = digits[rng.gen_range(0..digits.len())];
+                let start = (0..pick).rev().take_while(in_number).last().unwrap_or(pick);
+                let end = (pick..b.len()).find(|i| !in_number(i)).unwrap_or(b.len());
+                let hostile = ["1e999999", "18446744073709551616", "NaN"];
+                out.replace_range(start..end, hostile[rng.gen_range(0..hostile.len())]);
+            }
+        }
+    }
+    out
+}
+
 /// 64-bit FNV-1a hash; tiny, stable, and good enough for seed derivation.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;

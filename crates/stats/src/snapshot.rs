@@ -616,6 +616,21 @@ mod tests {
     }
 
     #[test]
+    fn mutated_streams_parse_or_fail_without_panicking() {
+        let deltas = vec![delta(0, 0, 10), delta(1, 10, 20)];
+        let stream = SnapshotStream {
+            cadence_us: 10,
+            full: Some(compose(&deltas)),
+            deltas,
+        };
+        let text = stream_to_jsonl(&stream);
+        assert_eq!(stream_from_jsonl(&text), Ok(stream));
+        qoserve_sim::forall(3_000, 18, |rng| {
+            let _ = stream_from_jsonl(&qoserve_sim::mutate(&text, rng));
+        });
+    }
+
+    #[test]
     fn stream_rejects_version_mismatch() {
         let stream = SnapshotStream {
             cadence_us: 10,

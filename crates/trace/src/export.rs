@@ -249,6 +249,16 @@ mod tests {
     }
 
     #[test]
+    fn mutated_jsonl_parses_or_fails_without_panicking() {
+        let text = to_jsonl(&sample(), 3);
+        let parsed = from_jsonl(&text).expect("the writer's own output parses");
+        assert_eq!((parsed.records, parsed.dropped), (sample(), 3));
+        qoserve_sim::forall(10_000, 17, |rng| {
+            let _ = from_jsonl(&qoserve_sim::mutate(&text, rng));
+        });
+    }
+
+    #[test]
     fn jsonl_reports_malformed_lines() {
         let err = from_jsonl("{\"not\": \"a record\"}\n").unwrap_err();
         assert!(err.to_string().starts_with("line 1: "), "{err}");
