@@ -28,9 +28,10 @@
 //! * [`parallel::par_map`] runs independent seeded tasks across cores
 //!   (`QOSERVE_THREADS` overrides the worker count) while keeping output
 //!   order-preserving and bit-identical to serial execution.
-//! * [`json`](mod@json) is the codec for everything the workspace persists (trace
-//!   JSONL, stats streams, experiment rows), and [`rng::forall`] is the
-//!   seeded property-test loop every crate's tests use.
+//! * [`json`](mod@json) is the codec for everything the workspace
+//!   persists (trace JSONL, stats streams, experiment rows),
+//!   [`rng::forall`] is the seeded property-test loop every crate's tests
+//!   use, and [`rng::mutate`] corrupts a document for fuzzing the loaders.
 //! * This is the only crate that names `rand`: the others draw through
 //!   the [`SimRng`] streams and the [`Rng`] / [`RngCore`] /
 //!   [`SliceRandom`] traits re-exported here.
