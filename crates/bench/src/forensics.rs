@@ -25,6 +25,7 @@
 //! The attribution is a deterministic function of the trace alone, so the
 //! same `(seed, config)` always explains its violations identically.
 
+// A new `TraceEvent` variant must get an explicit arm here, not fall into `_`.
 #![deny(clippy::wildcard_enum_match_arm)]
 
 use std::collections::BTreeMap;

@@ -6,6 +6,8 @@
 //! `cargo run --release -p qoserve-bench --bin <id>`; set
 //! `QOSERVE_SCALE` to stretch measurement windows toward paper scale.
 
+// Library code returns errors and data; the bins own panics and the
+// console.
 #![cfg_attr(
     not(test),
     deny(

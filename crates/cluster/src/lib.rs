@@ -33,6 +33,8 @@
 //!   autoscaling. With no faults and no scale events it is bit-identical
 //!   to [`run_shared`].
 
+// Library code returns errors and data (the bins own panics and the
+// console), and integer casts go through `qoserve_sim::nums`.
 #![cfg_attr(
     not(test),
     deny(

@@ -50,6 +50,8 @@
 //! assert_eq!(report.slo.violations, 0);
 //! ```
 
+// Library code returns errors and data; the bins own panics and the
+// console.
 #![cfg_attr(
     not(test),
     deny(

@@ -21,6 +21,8 @@
 //! * [`disagg`] — helpers for PD-disaggregated prefill-node serving
 //!   (§4.1.3).
 
+// Library code returns errors and data (the bins own panics and the
+// console), and integer casts go through `qoserve_sim::nums`.
 #![cfg_attr(
     not(test),
     deny(

@@ -20,6 +20,8 @@
 //! * [`goodput`] — monotone boundary search used for capacity numbers.
 //! * [`report`] — plain-text table rendering for the experiment binaries.
 
+// Library code returns errors and data; the bins own panics and the
+// console.
 #![cfg_attr(
     not(test),
     deny(

@@ -39,6 +39,8 @@
 //! assert!(latency.as_millis_f64() > 1.0);
 //! ```
 
+// Library code returns errors and data (the bins own panics and the
+// console), and integer casts go through `qoserve_sim::nums`.
 #![cfg_attr(
     not(test),
     deny(

@@ -32,6 +32,8 @@
 //! [`Scheduler::plan_batch`] with the decode snapshot and resource
 //! [`Constraints`], and receives a [`BatchPlan`].
 
+// Library code returns errors and data (the bins own panics and the
+// console), and integer casts go through `qoserve_sim::nums`.
 #![cfg_attr(
     not(test),
     deny(

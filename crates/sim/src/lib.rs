@@ -46,6 +46,8 @@
 //! assert_eq!(later.signed_duration_since(start).as_millis_f64(), 50.0);
 //! ```
 
+// Library code returns errors and data (the bins own panics and the
+// console), and integer casts go through `qoserve_sim::nums`.
 #![cfg_attr(
     not(test),
     deny(

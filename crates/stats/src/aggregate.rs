@@ -30,6 +30,7 @@
 //! consulted (same-stamp events sorting after it cannot), which is
 //! deterministic by the canonical fold order.
 
+// A new `TraceEvent` variant must get an explicit arm here, not fall into `_`.
 #![deny(clippy::wildcard_enum_match_arm)]
 
 use std::collections::BTreeMap;

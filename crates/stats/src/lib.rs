@@ -28,6 +28,8 @@
 //! schema-tolerant: every container tolerates missing and unknown
 //! fields, and deltas [`compose`] to the full snapshot bit-exactly.
 
+// Library code returns errors and data; the bins own panics and the
+// console.
 #![cfg_attr(
     not(test),
     deny(

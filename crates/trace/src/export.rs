@@ -5,6 +5,7 @@
 //! [`TraceSink::snapshot`](crate::TraceSink::snapshot)) and emit keys in
 //! a fixed order, so output bytes are a pure function of the record list.
 
+// A new `TraceEvent` variant must get an explicit arm here, not fall into `_`.
 #![deny(clippy::wildcard_enum_match_arm)]
 
 use qoserve_sim::json;

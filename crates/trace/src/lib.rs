@@ -33,6 +33,8 @@
 //! pre-allocates each replica's ring on that replica's first event and
 //! never allocates per event afterwards (records are `Copy`).
 
+// Library code returns errors and data; the bins own panics and the
+// console.
 #![cfg_attr(
     not(test),
     deny(

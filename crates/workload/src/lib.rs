@@ -32,6 +32,8 @@
 //! assert_eq!(trace.len(), 100);
 //! ```
 
+// Library code returns errors and data; the bins own panics and the
+// console.
 #![cfg_attr(
     not(test),
     deny(

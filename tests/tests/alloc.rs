@@ -60,10 +60,11 @@ fn trace(qps: f64, requests: usize) -> Trace {
         .build(&SeedStream::new(15))
 }
 
-/// Allocations of the faulty 4-replica kernel runs at the parent of the
-/// change that introduced this test (sharded: the largest of 1, 2 and the
-/// default thread count). A run may allocate at most 10 % more: an
-/// allocation per engine step adds several times that.
+/// Allocations of the faulty 4-replica kernel runs, counted by this test
+/// on the code before the hashed containers became BTree ones (sharded:
+/// the largest count over 1, 2 and the default thread count). A run may
+/// allocate at most 10 % more, about 620 allocations; one more allocation
+/// per engine step adds about 9,000.
 const SHARDED_BASELINE: u64 = 6_217;
 const LOCKSTEP_BASELINE: u64 = 6_187;
 
