@@ -58,56 +58,11 @@ mod tests {
     use std::path::Path;
 
     use super::*;
+    use crate::lexer::code_only;
 
-    /// `src` with every `//` and `/* */` comment removed (newlines kept,
-    /// so byte offsets still give line numbers). String and char literals
-    /// are copied whole, so a `//` inside one is not taken for a comment.
-    fn strip_comments(src: &str) -> String {
-        let b = src.as_bytes();
-        let mut out = Vec::with_capacity(b.len());
-        let (mut i, mut depth) = (0, 0);
-        while i < b.len() {
-            let rest = &b[i..];
-            i += if depth == 0 && rest.starts_with(b"//") {
-                rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len())
-            } else if rest.starts_with(b"/*") {
-                depth += 1;
-                2
-            } else if depth > 0 && rest.starts_with(b"*/") {
-                depth -= 1;
-                2
-            } else if depth > 0 {
-                if rest[0] == b'\n' {
-                    out.push(b'\n');
-                }
-                1
-            } else {
-                let n = literal_len(rest).unwrap_or(1);
-                out.extend_from_slice(&rest[..n]);
-                n
-            };
-        }
-        String::from_utf8_lossy(&out).into_owned()
-    }
-
-    /// Byte length of the string or char literal `rest` starts with. A
-    /// `'` opens a char literal only as `'x'` or `'\..'`; otherwise it is
-    /// a lifetime.
-    fn literal_len(rest: &[u8]) -> Option<usize> {
-        let q = *rest.first()?;
-        let char_literal = rest.get(1) == Some(&b'\\') || rest.get(2) == Some(&b'\'');
-        if q != b'"' && !(q == b'\'' && char_literal) {
-            return None;
-        }
-        let mut j = 1;
-        while j < rest.len() && rest[j] != q {
-            j += if rest[j] == b'\\' { 2 } else { 1 };
-        }
-        Some((j + 1).min(rest.len()))
-    }
-
-    /// The float-ordering rule: no `partial_cmp` call in any crate's
-    /// `src/` outside `fn partial_cmp(` definitions and this file.
+    /// The float-ordering rule: no `partial_cmp` call in the code of any
+    /// crate's `src/` outside `fn partial_cmp(` definitions and this file.
+    /// Comments and literals are not code (see `crate::lexer`).
     #[test]
     fn no_partial_cmp_outside_the_float_helpers() {
         let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
@@ -130,7 +85,7 @@ mod tests {
                 {
                     continue;
                 }
-                let code = strip_comments(&fs::read_to_string(&path).expect("source is UTF-8"));
+                let code = code_only(&fs::read_to_string(&path).expect("source is UTF-8"));
                 for (at, _) in code.match_indices("partial_cmp(") {
                     if !code[..at].ends_with("fn ") {
                         let line = code[..at].matches('\n').count() + 1;
@@ -143,16 +98,6 @@ mod tests {
             offenders.is_empty(),
             "`partial_cmp` is not a total order under NaN; use `f64::total_cmp` \
              (see `qoserve_sim::float`): {offenders:?}"
-        );
-    }
-
-    #[test]
-    fn comments_are_stripped_but_literals_are_kept() {
-        let src = "a // x.partial_cmp(y)\nb /* c /* d */ partial_cmp( */ e\n\
-                   \"// kept\" '\"' '/' f<'g>(x: &'g str) // gone";
-        assert_eq!(
-            strip_comments(src),
-            "a \nb  e\n\"// kept\" '\"' '/' f<'g>(x: &'g str) "
         );
     }
 

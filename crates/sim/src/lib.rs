@@ -70,6 +70,8 @@ mod events;
 pub mod faults;
 pub mod float;
 pub mod json;
+#[cfg(test)]
+mod lexer;
 pub mod nums;
 pub mod parallel;
 pub mod rng;
