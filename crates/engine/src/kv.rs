@@ -9,9 +9,9 @@
 //! grow, and a decode step itself changes nothing: it writes a token the
 //! reservation already holds.
 //!
-//! The cache keeps only the total. The engine's request slab is the
-//! per-request ledger: a completing request releases its `prefill_done`
-//! plus its reserve, read from the slab.
+//! The cache keeps only the total. The engine's in-flight requests are
+//! the per-request ledger: a completing request releases its
+//! `prefill_done` plus its reserve, read from its own record.
 
 /// KV-cache budget of one replica, in tokens.
 #[derive(Debug, Clone, Default)]
