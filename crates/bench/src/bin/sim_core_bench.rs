@@ -21,8 +21,8 @@
 //! Raw requests/sec depends on the host, so the ratchet gates on the
 //! *speedup ratio* — dimensionless and machine-portable. `QOSERVE_THREADS`
 //! is forced to 1 so the ratio reflects the kernel's algorithmic win
-//! (no O(replicas) min-scan, per-replica cache locality, slab/scratch
-//! reuse), not thread-count luck; multi-core parallelism in the sharded
+//! (no O(replicas) min-scan, per-replica cache locality, scratch reuse),
+//! not thread-count luck; multi-core parallelism in the sharded
 //! kernel is upside on top.
 
 use std::time::Instant;

@@ -1,10 +1,10 @@
-//! A stable, time-ordered event queue: the test-only reference model
-//! that `eventcore`'s tests check [`CalendarQueue`](crate::CalendarQueue)
-//! against.
+//! A stable, time-ordered event queue: the replica engine's arrival
+//! queue.
 //!
 //! [`EventQueue`] wraps a binary heap keyed by [`SimTime`] with a
 //! monotonically increasing sequence number as tie-breaker, so events
-//! scheduled for the same instant pop in the order they were pushed. Stable
+//! scheduled for the same instant pop in the order they were pushed, and
+//! an event pushed late never pops ahead of an earlier-timed one. Stable
 //! ordering is what makes whole-simulation runs reproducible.
 
 use std::cmp::Ordering;
@@ -76,11 +76,6 @@ impl<T> EventQueue<T> {
         self.heap.peek().map(|e| e.time)
     }
 
-    /// Borrow of the earliest payload without removing it.
-    pub fn peek(&self) -> Option<(&T, SimTime)> {
-        self.heap.peek().map(|e| (&e.payload, e.time))
-    }
-
     /// Removes and returns the earliest event only if it is due at or before
     /// `now`.
     pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, T)> {
@@ -90,41 +85,15 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
 impl<T> Default for EventQueue<T> {
     fn default() -> Self {
         EventQueue::new()
-    }
-}
-
-impl<T> Extend<(SimTime, T)> for EventQueue<T> {
-    fn extend<I: IntoIterator<Item = (SimTime, T)>>(&mut self, iter: I) {
-        for (time, payload) in iter {
-            self.push(time, payload);
-        }
-    }
-}
-
-impl<T> FromIterator<(SimTime, T)> for EventQueue<T> {
-    fn from_iter<I: IntoIterator<Item = (SimTime, T)>>(iter: I) -> Self {
-        let mut q = EventQueue::new();
-        q.extend(iter);
-        q
     }
 }
 
@@ -163,34 +132,7 @@ mod tests {
             Some("early")
         );
         assert_eq!(q.pop_due(SimTime::from_secs(5)), None);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(2), 7);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
-        assert_eq!(q.peek(), Some((&7, SimTime::from_secs(2))));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn from_iterator_and_extend() {
-        let mut q: EventQueue<&str> =
-            vec![(SimTime::from_secs(2), "b"), (SimTime::from_secs(1), "a")]
-                .into_iter()
-                .collect();
-        q.extend([(SimTime::from_secs(3), "c")]);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop().unwrap().1, "a");
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, ());
-        q.clear();
-        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(10)));
+        assert!(!q.is_empty());
     }
 }

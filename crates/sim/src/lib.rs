@@ -14,14 +14,9 @@
 //! * Randomness flows from a single `u64` seed through [`rng::SeedStream`],
 //!   which derives independent ChaCha8 substreams by label. Two runs with
 //!   the same seed produce identical traces, arrivals, and noise.
-//! * [`eventcore`] holds the event queue and the job arena:
-//!   [`CalendarQueue`] (a bucketed timing wheel with a radix-heap
-//!   overflow, totally ordered by `(time_us, sub, seq)` — the trace's
-//!   canonical order — so events at the same instant pop in push order
-//!   and simulations never depend on heap tie-breaking) and [`JobSlab`]
-//!   (a generation-checked slab arena for in-flight jobs). Both are
-//!   pop-for-pop identical to their naive references; only the constant
-//!   factors differ.
+//! * [`EventQueue`] is the replica engine's arrival queue: a binary heap
+//!   ordered by `(time, push order)`, so events at the same instant pop
+//!   in push order and simulations never depend on heap tie-breaking.
 //! * [`faults::FaultSchedule`] materialises a seed-derived fault timeline
 //!   (crashes, restarts, straggler and predictor-drift windows) a priori,
 //!   so fault injection is data, not nondeterministic side effects.
@@ -64,9 +59,7 @@
     )
 )]
 
-pub mod eventcore;
-#[cfg(test)]
-mod events;
+pub mod events;
 pub mod faults;
 pub mod float;
 pub mod json;
@@ -78,7 +71,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use eventcore::{CalendarQueue, JobRef, JobSlab};
+pub use events::EventQueue;
 pub use faults::{
     CrashEvent, FaultConfig, FaultEvent, FaultKind, FaultSchedule, ReplicaFaultProfile, SlowWindow,
 };

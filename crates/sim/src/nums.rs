@@ -52,7 +52,7 @@ pub fn u64_clamp_i64(x: u64) -> i64 {
     x.min(i64::MAX as u64) as i64
 }
 
-/// Widens a slab/shard index to `u64`. Lossless on every supported
+/// Widens a shard index or a length to `u64`. Lossless on every supported
 /// target (`usize` is at most 64 bits).
 #[inline]
 pub const fn usize_to_u64(x: usize) -> u64 {
@@ -71,16 +71,16 @@ pub fn u64_to_usize(x: u64) -> usize {
     x as usize
 }
 
-/// Widens a packed 32-bit index to `usize`. Lossless on every supported
+/// Widens a 32-bit count or index to `usize`. Lossless on every supported
 /// target (`usize` is at least 32 bits).
 #[inline]
 pub const fn u32_to_usize(x: u32) -> usize {
     x as usize
 }
 
-/// Narrows a length or index to the packed 32-bit form used by slab
-/// references and batch counts. Debug-asserts on real truncation; slabs
-/// and batches are bounded far below 4 billion entries.
+/// Narrows a length or index to the 32-bit form used by batch counts.
+/// Debug-asserts on real truncation; batches are bounded far below 4
+/// billion entries.
 #[inline]
 pub fn usize_to_u32(x: usize) -> u32 {
     debug_assert!(x <= u32::MAX as usize, "value {x} does not fit in u32");

@@ -61,12 +61,13 @@ fn trace(qps: f64, requests: usize) -> Trace {
 }
 
 /// Allocations of the faulty 4-replica kernel runs, counted by this test
-/// on the code before the hashed containers became BTree ones (sharded:
-/// the largest count over 1, 2 and the default thread count). A run may
-/// allocate at most 10 % more, about 620 allocations; one more allocation
-/// per engine step adds about 9,000.
-const SHARDED_BASELINE: u64 = 6_217;
-const LOCKSTEP_BASELINE: u64 = 6_187;
+/// once the engine kept its arrivals in a binary heap and its admitted
+/// requests as owned values (sharded: the largest count over 1, 2 and
+/// the default thread count). A run may allocate at most 10 % more,
+/// about 470 allocations; one more allocation per engine step adds about
+/// 9,000.
+const SHARDED_BASELINE: u64 = 4_702;
+const LOCKSTEP_BASELINE: u64 = 4_672;
 
 #[test]
 fn hot_paths_stay_within_their_allocation_budget() {
