@@ -3,7 +3,8 @@
 
 use qoserve::prelude::*;
 use qoserve_sim::{forall, Rng};
-use qoserve_trace::{to_jsonl, Tracer};
+use qoserve_stats::{stream_to_jsonl, StatsConfig, StatsHandle};
+use qoserve_trace::{to_jsonl, Tracer, VecSink};
 
 fn hw() -> HardwareConfig {
     HardwareConfig::llama3_8b_a100_tp1()
@@ -294,6 +295,115 @@ fn scheduler_decisions_are_pinned() {
         relegated > 0 && rejected > 0,
         "the trace must overload the replica"
     );
+}
+
+/// The elastic kernel on a test-sized fig. 12 wave: Azure-Code on a
+/// 3↔8 QPS diurnal square wave (20 % low priority) starting on 2
+/// replicas, under perfbench's `diurnal-elastic` autoscaler and
+/// lifecycle (1–3 replicas), with faults scaled until crashes fire and a
+/// stats tee over a `VecSink` observing the run. Pins the outcomes, the
+/// decision trace, the stats stream, the recovery counters, replica time
+/// and the fleet log. Any change to held-work dispatch, crash and drain
+/// re-dispatch, the autoscaler's signals or the lifecycle moves a pin. A
+/// deliberate behaviour change re-records them from the failure message.
+#[test]
+fn elastic_kernel_is_pinned() {
+    let half_period = SimDuration::from_secs(120);
+    let trace = TraceBuilder::new(Dataset::azure_code())
+        .arrivals(ArrivalProcess::DiurnalSquare {
+            low_qps: 3.0,
+            high_qps: 8.0,
+            half_period,
+        })
+        .duration(half_period * 8)
+        .paper_tier_mix()
+        .low_priority_fraction(0.2)
+        .build(&SeedStream::new(12));
+    let elastic = ElasticPlan {
+        lifecycle: LifecycleConfig {
+            provision_delay: SimDuration::from_secs(5),
+            warmup: SimDuration::from_secs(10),
+            drain_grace: SimDuration::from_secs(30),
+        },
+        max_replicas: 3,
+        schedule: Vec::new(),
+        autoscale: Some(AutoscaleConfig {
+            control_interval: SimDuration::from_secs(15),
+            window: SimDuration::from_secs(60),
+            min_replicas: 1,
+            max_replicas: 3,
+            queue_high_tokens: 12_000,
+            queue_low_tokens: 3_000,
+            up_streak: 2,
+            down_streak: 4,
+            cooldown: SimDuration::from_secs(45),
+            ..AutoscaleConfig::default()
+        }),
+    };
+    // At the moderate rates no crash fires in this 16-minute wave; at 4×
+    // seven do, and their orphans are re-dispatched or shed.
+    let plan = FaultPlan::with_faults(FaultConfig::moderate().scaled(4.0));
+    let stats = StatsHandle::new(StatsConfig::every(SimDuration::from_secs(30)));
+    let tracer = Tracer::new(stats.tee(Box::new(VecSink::new())));
+    let r = run_shared_elastic_observed(
+        &trace,
+        2,
+        &SchedulerSpec::qoserve(),
+        &ClusterConfig::new(hw()),
+        &plan,
+        &elastic,
+        &SeedStream::new(12),
+        &tracer,
+        Some(&stats),
+    )
+    .expect("the elastic run routes");
+    assert_eq!(r.outcomes.len(), trace.len());
+    let s = &r.stats;
+    assert!(
+        s.crashes > 0 && s.redispatches > 0 && s.scale_ups > 0 && s.scale_downs > 0,
+        "the run must crash, re-dispatch and scale both ways: {s:?}"
+    );
+    let jsonl = to_jsonl(&tracer.snapshot(), tracer.dropped());
+    // (outcome digest, trace JSONL digest, stats-stream JSONL digest)
+    let got = (
+        outcome_digest(&r.outcomes),
+        fnv1a(FNV_OFFSET, jsonl.as_bytes()),
+        fnv1a(FNV_OFFSET, stream_to_jsonl(&stats.stream()).as_bytes()),
+    );
+    assert_eq!(
+        got,
+        (
+            0x0ad8_a714_80d9_3dae,
+            0xbc29_722b_58b8_4cf5,
+            0xea23_a935_7e63_676c
+        ),
+        "elastic kernel digests changed: {got:#018x?}"
+    );
+    assert_eq!(
+        r.stats,
+        FaultRunStats {
+            crashes: 7,
+            restarts: 7,
+            redispatches: 95,
+            shed: 22,
+            retry_exhausted: 0,
+            reprefill_tokens: 16_429,
+            degraded_iterations: 7_919,
+            breaker_opens: 0,
+            breaker_diverted: 0,
+            scale_ups: 4,
+            scale_downs: 3,
+            drain_migrated: 0,
+            warmup_wasted_us: 60_000_000,
+        }
+    );
+    assert_eq!(r.replica_us, 2_495_657_037);
+    let fleet = [0, 150, 165, 240, 615, 645, 795, 900]
+        .into_iter()
+        .zip([2, 1, 2, 3, 2, 3, 2, 3])
+        .map(|(secs, size)| (SimTime::from_secs(secs), size))
+        .collect::<Vec<_>>();
+    assert_eq!(r.fleet, fleet);
 }
 
 /// The facade API preserves the same invariants.
