@@ -186,16 +186,12 @@ pub struct PickedTarget {
 
 /// Round-robin over `up` by the caller's rotation cursor. `None` only
 /// when `up` is empty.
-#[expect(
-    clippy::cast_possible_truncation,
-    reason = "lossy-cast debt: route through `qoserve_sim::nums`"
-)]
 pub fn pick_round_robin(up: &[u32], rotation: u64) -> Option<PickedTarget> {
     if up.is_empty() {
         return None;
     }
     Some(PickedTarget {
-        replica: up[(rotation % up.len() as u64) as usize],
+        replica: up[nums::u64_to_usize(rotation % nums::usize_to_u64(up.len()))],
         diverted: false,
     })
 }

@@ -14,7 +14,7 @@
 //! `QOSERVE_THREADS`.
 
 use qoserve_metrics::SloReport;
-use qoserve_sim::{par_map, par_max_passing, SeedStream, SimDuration};
+use qoserve_sim::{nums, par_map, par_max_passing, SeedStream, SimDuration};
 use qoserve_workload::{ArrivalProcess, Dataset, TierMix, Trace, TraceBuilder};
 
 use crate::deployment::{run_shared, ClusterConfig};
@@ -113,10 +113,6 @@ pub fn max_goodput(
 /// bisected, which assumed the pass predicate is monotone in pool size;
 /// exhaustive probing returns the true minimum even when a mid-size pool
 /// happens to fail, and its answer is independent of thread count.)
-#[expect(
-    clippy::cast_possible_truncation,
-    reason = "lossy-cast debt: route through `qoserve_sim::nums`"
-)]
 pub fn min_replicas_for(
     trace: &Trace,
     scheduler: &SchedulerSpec,
@@ -131,7 +127,10 @@ pub fn min_replicas_for(
         let outcomes = run_shared(trace, replicas, scheduler, config, seeds);
         SloReport::compute(&outcomes, threshold).meets_goodput_bar(allowed_violation_pct)
     });
-    verdicts.iter().position(|&ok| ok).map(|i| i as u32 + 1)
+    verdicts
+        .iter()
+        .position(|&ok| ok)
+        .map(|i| nums::usize_to_u32(i) + 1)
 }
 
 #[cfg(test)]
