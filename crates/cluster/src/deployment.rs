@@ -108,7 +108,8 @@ pub fn run_shared(
 /// bit-identical to the untraced path. Captured events carry per-replica
 /// program-order sequence numbers, so the exported trace is a function of
 /// `(trace, scheduler, config, seeds)` alone — independent of how the
-/// replica threads were actually scheduled.
+/// replica threads were actually scheduled. The tracer is flushed before
+/// the call returns, so a stats tee behind it has seen every record.
 pub fn run_shared_traced(
     trace: &Trace,
     replicas: u32,
@@ -123,7 +124,9 @@ pub fn run_shared_traced(
     for (spec, target) in trace.requests().iter().zip(targets) {
         per_replica[target].push(*spec);
     }
-    run_replica_pools(per_replica, scheduler, config, seeds, 0, tracer)
+    let outcomes = run_replica_pools(per_replica, scheduler, config, seeds, 0, tracer);
+    tracer.flush();
+    outcomes
 }
 
 /// Runs `trace` on a siloed deployment. Requests whose tier belongs to no

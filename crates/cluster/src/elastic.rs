@@ -318,7 +318,9 @@ pub fn run_shared_elastic(
 /// The optional [`ControlObserver`] is driven at its own deterministic
 /// sim-time boundaries, interleaved with the control instants (a
 /// boundary due at the same instant as a control instant fires first, in
-/// both kernels). Observation is contractually invisible: outcomes,
+/// both kernels). The tracer is flushed before every observer callback
+/// and before the run returns, so a stats tee has seen every record up
+/// to the boundary. Observation is contractually invisible: outcomes,
 /// stats, and the fleet log are bit-identical to the unobserved run.
 #[expect(
     clippy::too_many_arguments,
@@ -455,6 +457,7 @@ fn run_elastic_inner(
         // tick forever (boundaries never run out).
         if let (Some(obs), Some(t)) = (observer, next_obs) {
             if min_runnable.is_some_and(|m| m >= t) {
+                tracer.flush();
                 obs.boundary(t);
                 next_obs = obs.next_boundary(t);
                 resync = sharded;
@@ -1222,6 +1225,7 @@ impl<'a> Kernel<'a> {
         for r in 0..self.slots.len() {
             self.fleet.deprovision(r, end);
         }
+        self.tracer.flush();
         if let Some(obs) = observer {
             obs.finish(end);
         }

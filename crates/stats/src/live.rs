@@ -19,8 +19,14 @@
 //!
 //! The handle is cheaply cloneable and thread-safe; all state lives
 //! behind one mutex that is locked per record (the tee) and per
-//! boundary (the observer). A poisoned mutex degrades to empty reads
-//! rather than panicking, matching the tracer's discipline.
+//! boundary (the observer). The tee is fed through the tracer's
+//! per-replica lanes, one delivery at a time, so that lock is never
+//! contended on the hot path — and records reach the aggregator only
+//! when a lane delivers. The kernels flush the tracer before every
+//! boundary and at the end of a run; code that feeds a tee without a
+//! kernel calls [`Tracer::flush`](qoserve_trace::Tracer::flush) before
+//! it folds. A poisoned mutex degrades to empty reads rather than
+//! panicking, matching the tracer's discipline.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -269,6 +275,11 @@ mod tests {
         let r0 = tracer.for_replica(0);
         r0.set_now(SimTime::from_micros(42));
         r0.emit(Some(9), TraceEvent::FirstToken);
+        // The record waits in replica 0's lane until a flush, so a
+        // boundary folded before it sees no event.
+        stats.boundary(SimTime::from_micros(100));
+        assert_eq!(stats.full().frame.events, 0);
+        tracer.flush();
         stats.finish(SimTime::from_secs(1));
         assert_eq!(stats.full().frame.events, 1);
         assert_eq!(tracer.snapshot().len(), 1);

@@ -29,9 +29,14 @@
 //!
 //! A disabled [`Tracer`] is a `None` check per call site: no lock, no
 //! allocation, no formatting — instrumented hot paths cost one branch.
-//! An enabled tracer takes one mutex lock per event; [`RingSink`]
-//! pre-allocates each replica's ring on that replica's first event and
-//! never allocates per event afterwards (records are `Copy`).
+//! An enabled tracer takes its replica's own lane lock per event (no
+//! other thread touches that lane between barriers) and appends the
+//! stamped record to the lane's buffer; the sink lock is taken once per
+//! delivery of a full lane, a [`Tracer::flush`] or a read, and a full
+//! lane that finds the sink busy keeps buffering rather than wait.
+//! [`RingSink`] pre-allocates each replica's ring on that replica's first
+//! record and never allocates per record afterwards (records are `Copy`);
+//! each lane allocates its buffer once, when it is created.
 
 // Library code returns errors and data; the bins own panics and the
 // console.

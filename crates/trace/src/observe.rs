@@ -27,7 +27,10 @@
 //!   the boundary, e.g. a scheduled re-dispatch; those fold later, which
 //!   is equally deterministic);
 //! * [`finish`](ControlObserver::finish) runs exactly once, after the
-//!   last replica event, with the run's end time.
+//!   last replica event, with the run's end time;
+//! * the kernel [flushes](crate::Tracer::flush) its tracer before each
+//!   `boundary` and before `finish`, so a sink the observer reads (the
+//!   stats tee) has seen every record emitted so far.
 //!
 //! Observers must be behaviorally invisible: kernels promise that runs
 //! with and without an observer produce bit-identical outcomes, so an

@@ -4,8 +4,11 @@ use std::collections::BTreeMap;
 
 use crate::event::{canonical_sort, TraceRecord};
 
-/// Where captured records go. Implementations must be `Send`: replica
-/// threads share one sink behind the [`Tracer`](crate::Tracer) mutex.
+/// Where captured records go. Implementations must be `Send`: the
+/// [`Tracer`](crate::Tracer)'s per-replica lanes, on whichever threads
+/// run their replicas, take turns handing it their buffered records.
+/// Each replica's records arrive in program order; how different
+/// replicas' deliveries interleave is up to thread scheduling.
 pub trait TraceSink: Send {
     /// Whether this sink captures anything. A `false` sink is mapped to
     /// the fully-disabled tracer at construction, so `record` is never
