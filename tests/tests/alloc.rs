@@ -8,7 +8,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use qoserve::prelude::*;
-use qoserve_trace::Tracer;
+use qoserve_stats::{StatsConfig, StatsHandle};
+use qoserve_trace::{RingSink, Tracer};
 
 /// Counts every allocation and reallocation, then forwards to `System`.
 struct Counting;
@@ -69,6 +70,13 @@ fn trace(qps: f64, requests: usize) -> Trace {
 const SHARDED_BASELINE: u64 = 4_702;
 const LOCKSTEP_BASELINE: u64 = 4_672;
 
+/// Allocations of the sharded run observed through a stats tee, counted
+/// by this test once each replica traced through its own lane and the
+/// stats fold stopped allocating a `String` per record (the largest
+/// count over 1, 2 and the default thread count). The run folds 22,324
+/// records, so one `String` per folded record would break the budget.
+const OBSERVED_BASELINE: u64 = 17_464;
+
 #[test]
 fn hot_paths_stay_within_their_allocation_budget() {
     let hw = HardwareConfig::llama3_8b_a100_tp1();
@@ -124,9 +132,28 @@ fn hot_paths_stay_within_their_allocation_budget() {
             None,
         )
     });
+
+    // (c) The sharded run again, observed: a stats tee over a capture
+    // ring, with the handle as the observer.
+    let observed = counted(|| {
+        let stats = StatsHandle::new(StatsConfig::every(SimDuration::from_secs(5)));
+        let tracer = Tracer::new(stats.tee(Box::new(RingSink::new(4096))));
+        run_shared_elastic_observed(
+            &trace,
+            4,
+            &spec,
+            &config,
+            &plan,
+            &elastic,
+            &seeds,
+            &tracer,
+            Some(&stats),
+        )
+    });
     for (label, (allocations, result), baseline) in [
         ("sharded", sharded, SHARDED_BASELINE),
         ("lockstep", lockstep, LOCKSTEP_BASELINE),
+        ("observed", observed, OBSERVED_BASELINE),
     ] {
         let result = result.expect("the kernel run routes");
         assert_eq!(result.outcomes.len(), trace.len());

@@ -8,7 +8,8 @@
 //!    and fleet accounting to the plain unstatted run.
 //! 2. **Stream determinism**: the snapshot JSONL is byte-identical
 //!    between the sharded and lockstep kernels and across repeated
-//!    runs of the same seed.
+//!    runs of the same seed, and so is the capture ring's trace JSONL
+//!    under crashes, drains and scale events.
 //! 3. **Delta composition**: the per-boundary deltas merge left-to-right
 //!    into exactly the final full snapshot, and the JSONL round-trips
 //!    losslessly with the schema version checked on load.
@@ -20,7 +21,7 @@ use qoserve_stats::{
     compose, stream_from_jsonl, stream_to_jsonl, StatsConfig, StatsHandle, StatsQuery, StatsReply,
     StatsServer, SNAPSHOT_SCHEMA_VERSION,
 };
-use qoserve_trace::{RingSink, Tracer};
+use qoserve_trace::{to_jsonl, RingSink, Tracer};
 
 fn cluster_config() -> ClusterConfig {
     ClusterConfig::new(HardwareConfig::llama3_8b_a100_tp1())
@@ -68,11 +69,23 @@ fn run_observed(
     cadence: SimDuration,
     lockstep: bool,
 ) -> (ElasticRunResult, StatsHandle) {
+    let (result, stats, _) = run_captured(seed, cadence, lockstep, 4096);
+    (result, stats)
+}
+
+/// [`run_observed`] with the stats tee over a capture ring of `ring`
+/// records per replica, returning the tracer too.
+fn run_captured(
+    seed: u64,
+    cadence: SimDuration,
+    lockstep: bool,
+    ring: usize,
+) -> (ElasticRunResult, StatsHandle, Tracer) {
     let trace = chaos_trace(seed);
     let config = cluster_config();
     let (plan, elastic) = chaos_plan();
     let stats = StatsHandle::new(StatsConfig::every(cadence));
-    let tracer = Tracer::new(stats.tee(Box::new(RingSink::new(4096))));
+    let tracer = Tracer::new(stats.tee(Box::new(RingSink::new(ring))));
     let run = if lockstep {
         run_shared_elastic_observed_lockstep
     } else {
@@ -90,7 +103,7 @@ fn run_observed(
         Some(&stats),
     )
     .expect("observed elastic run routes");
-    (result, stats)
+    (result, stats, tracer)
 }
 
 #[test]
@@ -152,6 +165,41 @@ fn snapshot_stream_is_byte_identical_sharded_vs_lockstep() {
     // Same seed, same kernel, run again: byte-identical replay.
     let (_, again) = run_observed(72, cadence, false);
     assert_eq!(stream_to_jsonl(&again.stream()), sharded_jsonl);
+}
+
+/// The kernel's own records (crashes, re-dispatches, scale and drain
+/// events) share each replica's trace lane with its engine's records;
+/// the capture ring's bytes and per-replica evictions still match
+/// between kernels when a small ring evicts.
+#[test]
+fn ring_capture_is_byte_identical_sharded_vs_lockstep() {
+    let cadence = SimDuration::from_secs(5);
+    let capture = |lockstep: bool| {
+        let (result, stats, tracer) = run_captured(77, cadence, lockstep, 64);
+        let jsonl = to_jsonl(&tracer.snapshot(), tracer.dropped());
+        (
+            result.stats,
+            jsonl,
+            tracer.dropped_by_replica(),
+            stats.stream(),
+        )
+    };
+    let (counters, jsonl, dropped, stream) = capture(false);
+    assert!(counters.crashes > 0, "the plan crashes a replica");
+    assert!(counters.redispatches > 0, "a crash re-dispatches work");
+    assert!(
+        counters.scale_ups > 0 && counters.scale_downs > 0,
+        "the schedule adds and drains a replica"
+    );
+    assert!(
+        dropped.len() > 1,
+        "a 64-slot ring evicts on several replicas"
+    );
+
+    let (_, lockstep_jsonl, lockstep_dropped, lockstep_stream) = capture(true);
+    assert_eq!(jsonl, lockstep_jsonl, "kernels must capture the same bytes");
+    assert_eq!(dropped, lockstep_dropped);
+    assert_eq!(stream_to_jsonl(&stream), stream_to_jsonl(&lockstep_stream));
 }
 
 #[test]
