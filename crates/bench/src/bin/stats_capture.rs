@@ -3,13 +3,15 @@
 //! Composes the fig12 diurnal square wave with the chaos sweep's fault
 //! and scale-churn machinery on the elastic runner, with the
 //! `qoserve-stats` aggregator observing at a fixed sim-time cadence. The
-//! written JSONL stream is a pure function of `(seed, config)`: CI runs
-//! this under `QOSERVE_THREADS=1` and `QOSERVE_THREADS=4` and byte-diffs
-//! the files. The capture also feeds `qoservetop --replay` (see
-//! EXPERIMENTS.md).
+//! written JSONL stream, and the capture ring the aggregator tees off
+//! (written as trace JSONL next to it), are pure functions of
+//! `(seed, config)`: CI runs this under `QOSERVE_THREADS=1` and
+//! `QOSERVE_THREADS=4` and byte-diffs both files. The stream also feeds
+//! `qoservetop --replay` (see EXPERIMENTS.md).
 //!
 //! Usage: `stats_capture [JSONL_PATH]` (default
-//! `results/stats_capture.jsonl`).
+//! `results/stats_capture.jsonl`; the ring goes to the same path with a
+//! `.trace.jsonl` suffix).
 
 use std::fs;
 use std::path::PathBuf;
@@ -17,7 +19,7 @@ use std::path::PathBuf;
 use qoserve::experiments::scale_factor;
 use qoserve::prelude::*;
 use qoserve_stats::{stream_to_jsonl, StatsConfig, StatsHandle};
-use qoserve_trace::{RingSink, Tracer};
+use qoserve_trace::{to_jsonl, RingSink, Tracer};
 
 /// Ring capacity per replica; small enough that heavy replicas overflow,
 /// exercising the per-replica drop accounting in the snapshot.
@@ -88,6 +90,8 @@ fn main() {
 
     let stream = stats.stream();
     let jsonl = stream_to_jsonl(&stream);
+    let ring_path = out.with_extension("trace.jsonl");
+    let ring = to_jsonl(&tracer.snapshot(), tracer.dropped());
     if let Some(dir) = out.parent() {
         if !dir.as_os_str().is_empty() {
             if let Err(e) = fs::create_dir_all(dir) {
@@ -96,9 +100,11 @@ fn main() {
             }
         }
     }
-    if let Err(e) = fs::write(&out, &jsonl) {
-        eprintln!("error: cannot write {}: {e}", out.display());
-        std::process::exit(1);
+    for (path, bytes) in [(&out, &jsonl), (&ring_path, &ring)] {
+        if let Err(e) = fs::write(path, bytes) {
+            eprintln!("error: cannot write {}: {e}", path.display());
+            std::process::exit(1);
+        }
     }
 
     let full = stats.full();
@@ -120,6 +126,7 @@ fn main() {
         result.stats.scale_downs,
     );
     println!("stream: {}", out.display());
+    println!("ring:   {}", ring_path.display());
     println!(
         "view:   cargo run --release -p qoserve-bench --bin qoservetop -- --replay {}",
         out.display()
