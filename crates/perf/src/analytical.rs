@@ -13,7 +13,7 @@
 //! saturating around a 2–2.5 k-token chunk at about twice the 256-token
 //! throughput. They are not claims about individual kernels.
 
-use qoserve_sim::SimDuration;
+use qoserve_sim::{nums, SimDuration};
 
 use crate::batch::BatchProfile;
 use crate::hardware::HardwareConfig;
@@ -74,13 +74,8 @@ impl LatencyModel {
     }
 
     /// Predicted execution time of one iteration, noise-free.
-    #[expect(
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss,
-        reason = "lossy-cast debt: route through `qoserve_sim::nums`"
-    )]
     pub fn iteration_time(&self, batch: &BatchProfile) -> SimDuration {
-        SimDuration::from_micros(self.iteration_time_us(batch).round() as u64)
+        SimDuration::from_micros(nums::f64_round_to_u64(self.iteration_time_us(batch)))
     }
 
     /// Same as [`iteration_time`](Self::iteration_time) but in fractional

@@ -6,6 +6,8 @@
 //! compute/bandwidth envelopes. The three constructors on
 //! [`HardwareConfig`] correspond to Table 1 of the paper.
 
+use qoserve_sim::nums;
+
 /// Attention layout of a model — decides KV-cache bytes per token.
 ///
 /// The paper deliberately spans both: Llama3 models use grouped-query
@@ -253,12 +255,7 @@ impl HardwareConfig {
     /// HBM bytes left for KV cache on each shard after weights and a fixed
     /// activation/fragmentation reserve.
     pub fn kv_budget_bytes_per_gpu(&self) -> u64 {
-        #[expect(
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss,
-            reason = "lossy-cast debt: route through `qoserve_sim::nums`"
-        )]
-        let total = (self.gpu.memory_gib * 1024.0 * 1024.0 * 1024.0) as u64;
+        let total = nums::f64_trunc_to_u64(self.gpu.memory_gib * 1024.0 * 1024.0 * 1024.0);
         let reserve = total / 10; // activations, CUDA context, fragmentation
         total
             .saturating_sub(self.weight_bytes_per_gpu())

@@ -13,7 +13,7 @@
 
 use std::cell::RefCell;
 
-use qoserve_sim::{SeedStream, SimDuration};
+use qoserve_sim::{nums, SeedStream, SimDuration};
 use qoserve_trace::{TraceEvent, Tracer};
 
 use crate::analytical::LatencyModel;
@@ -148,13 +148,10 @@ impl LatencyPredictor {
     }
 
     /// Predicted iteration latency including the safety margin.
-    #[expect(
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss,
-        reason = "lossy-cast debt: route through `qoserve_sim::nums`"
-    )]
     pub fn predict(&self, batch: &BatchProfile) -> SimDuration {
-        SimDuration::from_micros((self.predict_raw_us(batch) * (1.0 + self.margin)).round() as u64)
+        SimDuration::from_micros(nums::f64_round_to_u64(
+            self.predict_raw_us(batch) * (1.0 + self.margin),
+        ))
     }
 
     /// Margin-free prediction in microseconds.
@@ -216,10 +213,6 @@ struct MemoKey {
 
 impl MemoKey {
     /// Direct-mapped slot index (FNV-1a over the key words).
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "lossy-cast debt: route through `qoserve_sim::nums`"
-    )]
     fn slot(&self) -> usize {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for word in [
@@ -233,7 +226,7 @@ impl MemoKey {
             h ^= word;
             h = h.wrapping_mul(0x0100_0000_01b3);
         }
-        h as usize & (MEMO_SLOTS - 1)
+        nums::u64_to_usize(h & (nums::usize_to_u64(MEMO_SLOTS) - 1))
     }
 }
 

@@ -25,6 +25,7 @@
 //! no clocks, no randomness, no hashing — replays are bit-identical.
 
 use qoserve_sim::float::sort_f64;
+use qoserve_sim::nums;
 
 /// Maximum ring capacity accepted by [`ErrorTracker::with_capacity`];
 /// quantile extraction copies and sorts the window, so unbounded windows
@@ -132,12 +133,7 @@ impl ErrorTracker {
         let mut scratch = self.ring.clone();
         sort_f64(&mut scratch);
         let q = q.clamp(0.0, 1.0);
-        #[expect(
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss,
-            reason = "lossy-cast debt: route through `qoserve_sim::nums`"
-        )]
-        let rank = ((scratch.len() as f64 - 1.0) * q).round() as usize;
+        let rank = nums::u64_to_usize(nums::f64_round_to_u64((scratch.len() as f64 - 1.0) * q));
         Some(scratch[rank.min(scratch.len() - 1)])
     }
 

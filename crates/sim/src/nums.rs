@@ -30,6 +30,15 @@ pub fn f64_round_to_u64(x: f64) -> u64 {
     x.round() as u64
 }
 
+/// Truncates a non-negative quantity toward zero (a byte count from a
+/// fractional capacity). Negative and NaN inputs clamp to zero; values
+/// beyond `u64::MAX` saturate. (The `f64 as u64` semantics, made
+/// explicit.)
+#[inline]
+pub fn f64_trunc_to_u64(x: f64) -> u64 {
+    x as u64
+}
+
 /// Signed difference `a - b` between two unsigned microsecond counters,
 /// as two's-complement arithmetic (never panics; deltas beyond
 /// `± i64::MAX` wrap, which simulated timestamps never approach).
@@ -106,6 +115,14 @@ mod tests {
         assert_eq!(f64_round_to_u64(-3.0), 0);
         assert_eq!(f64_round_to_u64(f64::NAN), 0);
         assert_eq!(f64_round_to_u64(1e300), u64::MAX);
+    }
+
+    #[test]
+    fn f64_trunc_drops_the_fraction() {
+        assert_eq!(f64_trunc_to_u64(1.9), 1);
+        assert_eq!(f64_trunc_to_u64(-0.5), 0);
+        assert_eq!(f64_trunc_to_u64(f64::NAN), 0);
+        assert_eq!(f64_trunc_to_u64(1e300), u64::MAX);
     }
 
     #[test]
