@@ -7,14 +7,16 @@
 //!   Fig. 15b: the smallest replica pool that serves a fixed-QPS trace
 //!   within the violation bar.
 //!
-//! Both searches run their independent probe simulations on the
-//! deterministic parallel harness (`qoserve_sim::parallel`): every probe
-//! reconstructs its randomness from the probe parameters alone, so the
-//! answers are bit-identical to the serial search regardless of
-//! `QOSERVE_THREADS`.
+//! Both are serial walks run on the need-ordered search engine of
+//! `qoserve_sim::parallel`: free workers run the probe the walk needs
+//! next, or the next one on a guessed path while that one runs, and no
+//! probe the walk has already ruled out is started. Every probe
+//! reconstructs its randomness from the probe parameters alone and the
+//! answers are read from known verdicts only, so they are bit-identical
+//! to the serial walk's regardless of `QOSERVE_THREADS`.
 
 use qoserve_metrics::SloReport;
-use qoserve_sim::{nums, par_map, par_max_passing, SeedStream, SimDuration};
+use qoserve_sim::{par_max_passing, par_position, SeedStream, SimDuration};
 use qoserve_workload::{ArrivalProcess, Dataset, TierMix, Trace, TraceBuilder};
 
 use crate::deployment::{run_shared, ClusterConfig};
@@ -83,11 +85,11 @@ fn goodput_probe(
 /// the largest arrival rate with at most `allowed_violation_pct`
 /// violations. Returns 0 when even `min_qps` fails.
 ///
-/// The coarse bracketing grid runs in parallel (every probe derives its
-/// trace and noise purely from its QPS and `seeds`), then the bisection
-/// refines serially — bit-identical to the serial
-/// [`max_supported_load`](qoserve_metrics::max_supported_load) search over
-/// the same probe for any `QOSERVE_THREADS`.
+/// The search is [`par_max_passing`]'s ramp-plus-bisection walk over
+/// QPS. Every probe derives its trace and noise purely from its QPS and
+/// `seeds`, so the answer is bit-identical to the serial walk over the
+/// same probe for any `QOSERVE_THREADS`; no QPS above the first failing
+/// ramp point is probed once that failure is known.
 pub fn max_goodput(
     dataset: &Dataset,
     scheduler: &SchedulerSpec,
@@ -108,11 +110,11 @@ pub fn max_goodput(
 /// `allowed_violation_pct` violations; `None` if even `max_replicas` is
 /// insufficient.
 ///
-/// All candidate pool sizes `1..=max_replicas` are probed concurrently
-/// and the smallest passing one wins. (The earlier implementation
-/// bisected, which assumed the pass predicate is monotone in pool size;
-/// exhaustive probing returns the true minimum even when a mid-size pool
-/// happens to fail, and its answer is independent of thread count.)
+/// Pool sizes are walked in increasing order and the first passing one
+/// wins, so the answer is the true minimum even when the pass predicate
+/// is not monotone in pool size. [`par_position`] runs the walk: workers
+/// probe the next sizes concurrently, and no size above a known pass is
+/// probed. The answer is independent of thread count.
 pub fn min_replicas_for(
     trace: &Trace,
     scheduler: &SchedulerSpec,
@@ -123,14 +125,12 @@ pub fn min_replicas_for(
 ) -> Option<u32> {
     assert!(max_replicas > 0, "max_replicas must be positive");
     let threshold = trace.long_prompt_threshold();
-    let verdicts = par_map((1..=max_replicas).collect(), |_, replicas| {
+    let pools: Vec<u32> = (1..=max_replicas).collect();
+    par_position(&pools, |&replicas| {
         let outcomes = run_shared(trace, replicas, scheduler, config, seeds);
         SloReport::compute(&outcomes, threshold).meets_goodput_bar(allowed_violation_pct)
-    });
-    verdicts
-        .iter()
-        .position(|&ok| ok)
-        .map(|i| nums::usize_to_u32(i) + 1)
+    })
+    .map(|i| pools[i])
 }
 
 #[cfg(test)]

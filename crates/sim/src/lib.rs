@@ -76,7 +76,7 @@ pub use faults::{
     CrashEvent, FaultConfig, FaultEvent, FaultKind, FaultSchedule, ReplicaFaultProfile, SlowWindow,
 };
 pub use float::{cmp_f64, priority_micros, sort_f64};
-pub use parallel::{par_map, par_map_threads, par_max_passing, thread_limit};
+pub use parallel::{par_map, par_map_threads, par_max_passing, par_position, thread_limit};
 pub use rand::seq::SliceRandom;
 pub use rand::{Rng, RngCore};
 pub use rng::{forall, mutate, SeedStream, SimRng};
