@@ -10,7 +10,7 @@
 
 use qoserve::prelude::*;
 use qoserve_bench::{banner, emit_results};
-use qoserve_metrics::{max_supported_load, SloReport};
+use qoserve_metrics::SloReport;
 use qoserve_sim::json;
 
 fn synthetic_trace(qps: f64, window: SimDuration, seeds: &SeedStream) -> Trace {
@@ -116,7 +116,7 @@ fn main() {
     let hw = HardwareConfig::llama3_8b_a100_tp1();
     let config = ClusterConfig::new(hw);
     let goodput = |spec: &SchedulerSpec| {
-        max_supported_load(0.05, 2.0, 0.02, |qps| {
+        par_max_passing(0.05, 2.0, 0.02, |qps| {
             let t = synthetic_trace(qps, SimDuration::from_secs(600), &seeds.child("gp"));
             if t.is_empty() {
                 return true;

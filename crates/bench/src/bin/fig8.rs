@@ -9,7 +9,7 @@ use qoserve::experiments::scaled_window;
 use qoserve::prelude::*;
 use qoserve_bench::{banner, emit_results};
 use qoserve_engine::{disagg_chunk_limits, to_prefill_only_trace, DISAGG_CHUNK};
-use qoserve_metrics::{max_supported_load, SloReport};
+use qoserve_metrics::SloReport;
 use qoserve_sim::json;
 
 fn main() {
@@ -50,7 +50,7 @@ fn main() {
         let goodputs: Vec<f64> = schemes
             .iter()
             .map(|(_, spec)| {
-                max_supported_load(0.5, 48.0, 0.2, |qps| {
+                par_max_passing(0.5, 48.0, 0.2, |qps| {
                     let trace = to_prefill_only_trace(
                         &TraceBuilder::new(dataset.clone())
                             .arrivals(ArrivalProcess::poisson(qps))

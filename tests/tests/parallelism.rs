@@ -7,7 +7,6 @@
 
 use qoserve::experiments::{load_sweep, SweepPoint};
 use qoserve::prelude::*;
-use qoserve_metrics::max_supported_load;
 use qoserve_sim::par_map_threads;
 
 fn small_options() -> GoodputOptions {
@@ -49,6 +48,47 @@ fn parallel_load_sweep_is_bit_identical_to_serial() {
     }
 }
 
+/// The serial goodput walk, one probe at a time: `lo`, a geometric ramp
+/// (×1.5, first step at least `resolution`) up to `hi`, then bisection of
+/// the bracket the first failing point closes. `par_max_passing` must
+/// return its answer bit for bit.
+fn serial_max_passing(
+    lo: f64,
+    hi: f64,
+    resolution: f64,
+    passes: impl Fn(f64) -> bool,
+) -> Option<f64> {
+    if !passes(lo) {
+        return None;
+    }
+    let mut good = lo;
+    let mut bad = None;
+    let mut probe = (lo * 1.5).max(lo + resolution);
+    while probe < hi {
+        if passes(probe) {
+            good = probe;
+            probe *= 1.5;
+        } else {
+            bad = Some(probe);
+            break;
+        }
+    }
+    let mut bad = match bad {
+        Some(bad) => bad,
+        None if passes(hi) => return Some(hi),
+        None => hi,
+    };
+    while bad - good > resolution {
+        let mid = (good + bad) / 2.0;
+        if passes(mid) {
+            good = mid;
+        } else {
+            bad = mid;
+        }
+    }
+    Some(good)
+}
+
 #[test]
 fn parallel_goodput_search_is_bit_identical_to_serial() {
     let dataset = Dataset::azure_conv();
@@ -60,8 +100,8 @@ fn parallel_goodput_search_is_bit_identical_to_serial() {
     ] {
         let seeds = SeedStream::new(seed);
         let parallel = max_goodput(&dataset, &spec, &config, &options, &seeds);
-        // The serial reference: the ramp-plus-bisection walk of
-        // `max_supported_load` over the same goodput probe.
+        // The serial reference: the ramp-plus-bisection walk over the
+        // same goodput probe.
         let probe = |qps: f64| {
             let trace = TraceBuilder::new(dataset.clone())
                 .arrivals(ArrivalProcess::poisson(qps))
@@ -76,7 +116,7 @@ fn parallel_goodput_search_is_bit_identical_to_serial() {
                 .meets_goodput_bar(options.allowed_violation_pct)
         };
         let serial =
-            max_supported_load(options.min_qps, options.max_qps, options.resolution, probe)
+            serial_max_passing(options.min_qps, options.max_qps, options.resolution, probe)
                 .unwrap_or(0.0);
         assert_eq!(
             parallel.to_bits(),
