@@ -25,8 +25,8 @@ fn tier_100ms() -> QosTier {
 }
 
 /// Per-replica goodput for a given tier mix under a scheduler. The
-/// bracketing probes run on the parallel harness (`par_max_passing`
-/// returns the same boundary as the serial search).
+/// probes run on the parallel harness (`par_max_passing` returns the
+/// serial walk's boundary).
 fn goodput_for_mix(mix: TierMix, spec: &SchedulerSpec, window: SimDuration, seed: u64) -> f64 {
     let hw = HardwareConfig::llama3_8b_a100_tp1();
     let config = ClusterConfig::new(hw);
