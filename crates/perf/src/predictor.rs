@@ -11,13 +11,11 @@
 //! decode pool and the minimum slack across decoding requests, find the
 //! largest prefill chunk whose predicted iteration latency still fits.
 
-use std::cell::RefCell;
-
 use qoserve_sim::{nums, SeedStream, SimDuration};
 use qoserve_trace::{TraceEvent, Tracer};
 
 use crate::analytical::LatencyModel;
-use crate::batch::BatchProfile;
+use crate::batch::{BatchProfile, PrefillChunkProfile};
 use crate::forest::{RandomForest, RandomForestConfig};
 use crate::hardware::HardwareConfig;
 use crate::profiler::{Profiler, ProfilerConfig};
@@ -188,116 +186,12 @@ impl Default for ChunkLimits {
     }
 }
 
-/// Number of direct-mapped memo slots; power of two so the slot index is
-/// a mask. 2.5k max chunk / 32-token steps is 80 distinct chunks per
-/// decode-pool state, so 4096 slots hold dozens of recent pool states.
-const MEMO_SLOTS: usize = 4096;
-
-/// Exact lookup key of one memoized prediction: everything that
-/// determines the predicted latency of a single-chunk probe batch —
-/// including the predictor's margin bits and fallback state, so the
-/// adaptive-margin controller can retune the predictor without
-/// invalidating the cache (stale entries simply stop matching).
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct MemoKey {
-    chunk: u32,
-    num_decodes: u32,
-    decode_context_total: u64,
-    prefill_context: u32,
-    /// `LatencyPredictor::margin()` as raw bits; the adaptive controller
-    /// quantizes margins onto a coarse grid, so few distinct values occur.
-    margin_bits: u64,
-    /// Whether the forest → analytical fallback was active.
-    degraded: bool,
-}
-
-impl MemoKey {
-    /// Direct-mapped slot index (FNV-1a over the key words).
-    fn slot(&self) -> usize {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for word in [
-            self.chunk as u64,
-            self.num_decodes as u64,
-            self.decode_context_total,
-            self.prefill_context as u64,
-            self.margin_bits,
-            self.degraded as u64,
-        ] {
-            h ^= word;
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-        nums::u64_to_usize(h & (nums::usize_to_u64(MEMO_SLOTS) - 1))
-    }
-}
-
-/// Prediction cache + scratch batch for the chunk-budget search.
-///
-/// Consecutive scheduler iterations probe near-identical `(chunk, decode
-/// pool)` points, and within one binary search the fix-up loop re-probes
-/// points the bisection already visited. Caching the final predicted
-/// micros (margin included, post-rounding) skips the whole forest/model
-/// walk while staying byte-identical; the scratch [`BatchProfile`] avoids
-/// a heap allocation per probe.
-#[derive(Clone)]
-struct MemoState {
-    slots: Vec<Option<(MemoKey, u64)>>,
-    scratch: BatchProfile,
-    hits: u64,
-    misses: u64,
-}
-
-impl MemoState {
-    fn new() -> Self {
-        MemoState {
-            slots: vec![None; MEMO_SLOTS],
-            // One mutable single-chunk profile, reused for every probe.
-            scratch: BatchProfile::builder().prefill_chunk(1, 0).build(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Predicted iteration micros for `key`, cached. The cached value is
-    /// the *final* prediction (margin-inflated, rounded), so a hit returns
-    /// exactly what [`LatencyPredictor::predict`] would.
-    fn predict_micros(&mut self, predictor: &LatencyPredictor, key: MemoKey) -> u64 {
-        let slot = key.slot();
-        if let Some((cached_key, micros)) = self.slots[slot] {
-            if cached_key == key {
-                self.hits += 1;
-                return micros;
-            }
-        }
-        self.misses += 1;
-        self.scratch.prefill[0].chunk_tokens = key.chunk;
-        self.scratch.prefill[0].context_before = key.prefill_context;
-        self.scratch.num_decodes = key.num_decodes;
-        self.scratch.decode_context_total = key.decode_context_total;
-        let micros = predictor.predict(&self.scratch).as_micros();
-        self.slots[slot] = Some((key, micros));
-        micros
-    }
-}
-
-impl std::fmt::Debug for MemoState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let filled = self.slots.iter().filter(|s| s.is_some()).count();
-        f.debug_struct("MemoState")
-            .field("filled", &filled)
-            .field("hits", &self.hits)
-            .field("misses", &self.misses)
-            .finish()
-    }
-}
-
 /// The `GET_PREFILL_BUDGET` search of Algorithm 1.
 ///
-/// Predictions are memoized by exact `(chunk, decode pool, prefill
-/// context)` key, so the repeated probes of consecutive scheduler
-/// iterations skip the predictor entirely while returning byte-identical
-/// budgets (a property test pins memoized against the
-/// [`uncached`](Self::uncached) search). The cache lives behind a [`RefCell`]:
-/// schedulers are per-replica, never shared across threads.
+/// Every probe of the search rewrites one owned [`BatchProfile`], so a
+/// search allocates nothing. Each search writes its decode pool into the
+/// probe and each probe its chunk, so nothing carries over from an
+/// earlier search.
 ///
 /// # Example
 ///
@@ -306,7 +200,7 @@ impl std::fmt::Debug for MemoState {
 /// use qoserve_sim::SimDuration;
 ///
 /// let hw = HardwareConfig::llama3_8b_a100_tp1();
-/// let budget = ChunkBudget::new(LatencyPredictor::analytical(&hw), ChunkLimits::default());
+/// let mut budget = ChunkBudget::new(LatencyPredictor::analytical(&hw), ChunkLimits::default());
 /// // Plenty of slack: the budget should open up far beyond the 256 default.
 /// let roomy = budget.prefill_budget(16, 16 * 500, 0, Some(SimDuration::from_millis(200)));
 /// // Tight slack: the budget must shrink.
@@ -317,29 +211,19 @@ impl std::fmt::Debug for MemoState {
 pub struct ChunkBudget {
     predictor: LatencyPredictor,
     limits: ChunkLimits,
-    memo: Option<RefCell<MemoState>>,
+    /// The batch every probe rewrites: at most one prefill chunk plus the
+    /// decode pool.
+    probe: BatchProfile,
     tracer: Tracer,
 }
 
 impl ChunkBudget {
-    /// Creates the budget search over `predictor` with `limits`,
-    /// memoization enabled.
+    /// Creates the budget search over `predictor` with `limits`.
     pub fn new(predictor: LatencyPredictor, limits: ChunkLimits) -> Self {
         ChunkBudget {
             predictor,
             limits,
-            memo: Some(RefCell::new(MemoState::new())),
-            tracer: Tracer::disabled(),
-        }
-    }
-
-    /// A budget search with memoization disabled — the reference path the
-    /// determinism tests and benches compare against.
-    pub fn uncached(predictor: LatencyPredictor, limits: ChunkLimits) -> Self {
-        ChunkBudget {
-            predictor,
-            limits,
-            memo: None,
+            probe: BatchProfile::default(),
             tracer: Tracer::disabled(),
         }
     }
@@ -355,16 +239,14 @@ impl ChunkBudget {
         &self.predictor
     }
 
-    /// Retunes the predictor's safety margin in place. The prediction
-    /// cache stays valid because the margin is part of the memo key —
-    /// entries recorded under other margins simply stop matching.
+    /// Retunes the predictor's safety margin in place; the next search
+    /// uses it.
     pub fn set_margin(&mut self, margin: f64) {
         self.predictor.set_margin(margin);
     }
 
     /// Engages the predictor's forest → analytical fallback; see
-    /// [`LatencyPredictor::engage_fallback`]. Cache entries recorded
-    /// pre-fallback stop matching (the flag is part of the memo key).
+    /// [`LatencyPredictor::engage_fallback`]. The next search uses it.
     pub fn engage_fallback(&mut self) -> bool {
         self.predictor.engage_fallback()
     }
@@ -372,17 +254,6 @@ impl ChunkBudget {
     /// The search bounds.
     pub fn limits(&self) -> ChunkLimits {
         self.limits
-    }
-
-    /// `(hits, misses)` of the prediction cache; `(0, 0)` when uncached.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        match &self.memo {
-            Some(memo) => {
-                let memo = memo.borrow();
-                (memo.hits, memo.misses)
-            }
-            None => (0, 0),
-        }
     }
 
     /// Largest prefill-token budget whose predicted iteration latency fits
@@ -397,126 +268,88 @@ impl ChunkBudget {
     ///   yields `max_chunk`.
     ///
     /// Returns 0 when even the smallest step would blow the slack — the
-    /// engine then runs a decode-only iteration.
+    /// engine then runs a decode-only iteration. An enabled tracer gets a
+    /// `ChunkBudgetChosen` record whose `predicted_us` is the margin-free
+    /// prediction at the returned budget.
     pub fn prefill_budget(
-        &self,
+        &mut self,
         num_decodes: u32,
         decode_context_total: u64,
         prefill_context: u32,
         slack: Option<SimDuration>,
     ) -> u32 {
-        // Cache-delta bookkeeping exists only for the trace event; the
-        // disabled path must stay branch-cheap.
-        let misses_before = if self.tracer.enabled() {
-            self.cache_stats().1
-        } else {
-            0
-        };
+        self.probe.num_decodes = num_decodes;
+        self.probe.decode_context_total = decode_context_total;
         let chosen = match slack {
             None => self.limits.max_chunk,
-            Some(slack) => match &self.memo {
-                Some(memo) => {
-                    let mut memo = memo.borrow_mut();
-                    let slack_us = slack.as_micros();
-                    let margin_bits = self.predictor.margin().to_bits();
-                    let degraded = self.predictor.fallback_engaged();
-                    self.search(|chunk| {
-                        let key = MemoKey {
-                            chunk,
-                            num_decodes,
-                            decode_context_total,
-                            prefill_context,
-                            margin_bits,
-                            degraded,
-                        };
-                        memo.predict_micros(&self.predictor, key) <= slack_us
-                    })
-                }
-                None => self.search(|chunk| {
-                    let batch = BatchProfile::builder()
-                        .prefill_chunk(chunk, prefill_context)
-                        .decodes(num_decodes, decode_context_total)
-                        .build();
-                    self.predictor.predict(&batch) <= slack
-                }),
-            },
+            Some(slack) => search(self.limits, |chunk| {
+                set_chunk(&mut self.probe, chunk, prefill_context);
+                self.predictor.predict(&self.probe) <= slack
+            }),
         };
         if self.tracer.enabled() {
-            self.trace_choice(
-                chosen,
-                num_decodes,
-                decode_context_total,
-                prefill_context,
-                misses_before,
+            set_chunk(&mut self.probe, chosen, prefill_context);
+            self.tracer.emit(
+                None,
+                TraceEvent::ChunkBudgetChosen {
+                    budget: chosen,
+                    predicted_us: self.predictor.predict_raw_us(&self.probe),
+                    margin: self.predictor.margin(),
+                    cache_hit: false,
+                },
             );
         }
         chosen
     }
+}
 
-    /// Emits `ChunkBudgetChosen` (enabled tracer only). Probing the chosen
-    /// chunk is a pure read of the predictor, so traced and untraced
-    /// searches return identical budgets; only the cache hit/miss counters
-    /// may move while tracing.
-    fn trace_choice(
-        &self,
-        chosen: u32,
-        num_decodes: u32,
-        decode_context_total: u64,
-        prefill_context: u32,
-        misses_before: u64,
-    ) {
-        let cache_hit = self.memo.is_some() && self.cache_stats().1 == misses_before;
-        let batch = BatchProfile::builder()
-            .prefill_chunk(chosen, prefill_context)
-            .decodes(num_decodes, decode_context_total)
-            .build();
-        self.tracer.emit(
-            None,
-            TraceEvent::ChunkBudgetChosen {
-                budget: chosen,
-                predicted_us: self.predictor.predict_raw_us(&batch),
-                margin: self.predictor.margin(),
-                cache_hit,
-            },
-        );
+/// Rewrites `probe`'s prefill side to one `chunk`-token chunk at
+/// `context`. Chunk 0 leaves no chunk at all, as
+/// [`BatchProfileBuilder::prefill_chunk`](crate::BatchProfileBuilder::prefill_chunk)
+/// drops a zero-token chunk.
+fn set_chunk(probe: &mut BatchProfile, chunk: u32, context: u32) {
+    probe.prefill.clear();
+    if chunk > 0 {
+        probe.prefill.push(PrefillChunkProfile::new(chunk, context));
+    }
+}
+
+/// The largest step-aligned chunk within `limits` for which `fits` holds,
+/// or 0 when even one step does not fit.
+fn search(limits: ChunkLimits, mut fits: impl FnMut(u32) -> bool) -> u32 {
+    let step = limits.step.max(1);
+    let max_steps = limits.max_chunk / step;
+    if max_steps == 0 || !fits(step) {
+        return 0;
+    }
+    if fits(max_steps * step) {
+        return max_steps * step;
     }
 
-    /// The search skeleton shared by the memoized and uncached paths:
-    /// largest step-aligned chunk for which `fits` holds.
-    fn search(&self, mut fits: impl FnMut(u32) -> bool) -> u32 {
-        let step = self.limits.step.max(1);
-        let max_steps = self.limits.max_chunk / step;
-        if max_steps == 0 || !fits(step) {
-            return 0;
+    // Invariant: fits(lo*step), !fits(hi*step). The predictor is
+    // monotone in chunk size for the analytical backend and very nearly
+    // so for the forest; binary search finds the boundary, then a short
+    // downward fix-up guards against local non-monotonicity.
+    let (mut lo, mut hi) = (1u32, max_steps);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if fits(mid * step) {
+            lo = mid;
+        } else {
+            hi = mid;
         }
-        if fits(max_steps * step) {
-            return max_steps * step;
-        }
-
-        // Invariant: fits(lo*step), !fits(hi*step). The predictor is
-        // monotone in chunk size for the analytical backend and very nearly
-        // so for the forest; binary search finds the boundary, then a short
-        // downward fix-up guards against local non-monotonicity.
-        let (mut lo, mut hi) = (1u32, max_steps);
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if fits(mid * step) {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let mut chunk = lo * step;
-        while chunk > 0 && !fits(chunk) {
-            chunk -= step;
-        }
-        chunk
     }
+    let mut chunk = lo * step;
+    while chunk > 0 && !fits(chunk) {
+        chunk -= step;
+    }
+    chunk
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qoserve_trace::VecSink;
 
     fn hw() -> HardwareConfig {
         HardwareConfig::llama3_8b_a100_tp1()
@@ -547,7 +380,7 @@ mod tests {
 
     #[test]
     fn unconstrained_slack_yields_max_chunk() {
-        let b = analytical_budget();
+        let mut b = analytical_budget();
         assert_eq!(
             b.prefill_budget(0, 0, 0, None),
             ChunkLimits::default().max_chunk
@@ -556,7 +389,7 @@ mod tests {
 
     #[test]
     fn zero_slack_yields_zero_budget() {
-        let b = analytical_budget();
+        let mut b = analytical_budget();
         assert_eq!(
             b.prefill_budget(64, 64 * 2_000, 0, Some(SimDuration::ZERO)),
             0
@@ -565,7 +398,7 @@ mod tests {
 
     #[test]
     fn budget_grows_with_slack() {
-        let b = analytical_budget();
+        let mut b = analytical_budget();
         let mut last = 0;
         for ms in [20u64, 40, 80, 160, 320] {
             let c = b.prefill_budget(32, 32 * 1_500, 0, Some(SimDuration::from_millis(ms)));
@@ -580,7 +413,7 @@ mod tests {
 
     #[test]
     fn budget_shrinks_with_decode_pressure() {
-        let b = analytical_budget();
+        let mut b = analytical_budget();
         let slack = Some(SimDuration::from_millis(60));
         let light = b.prefill_budget(8, 8 * 500, 0, slack);
         let heavy = b.prefill_budget(150, 150 * 3_000, 0, slack);
@@ -592,7 +425,7 @@ mod tests {
 
     #[test]
     fn budget_shrinks_with_prefill_depth() {
-        let b = analytical_budget();
+        let mut b = analytical_budget();
         let slack = Some(SimDuration::from_millis(60));
         let shallow = b.prefill_budget(32, 32 * 1_000, 0, slack);
         let deep = b.prefill_budget(32, 32 * 1_000, 60_000, slack);
@@ -606,7 +439,7 @@ mod tests {
     fn budget_result_actually_fits() {
         // The returned chunk's (margin-inflated) prediction must be within
         // slack — the whole point of under-predicting.
-        let b = analytical_budget();
+        let mut b = analytical_budget();
         let slack = SimDuration::from_millis(55);
         let chunk = b.prefill_budget(48, 48 * 1_800, 2_048, Some(slack));
         assert!(chunk > 0);
@@ -629,99 +462,116 @@ mod tests {
             max_chunk: 512,
             step: 64,
         };
-        let b = ChunkBudget::new(LatencyPredictor::analytical(&hw()), limits);
+        let mut b = ChunkBudget::new(LatencyPredictor::analytical(&hw()), limits);
         let c = b.prefill_budget(1, 100, 0, Some(SimDuration::from_secs(10)));
         assert_eq!(c, 512);
     }
 
     #[test]
     fn budget_is_step_aligned() {
-        let b = analytical_budget();
+        let mut b = analytical_budget();
         let c = b.prefill_budget(32, 32 * 1_500, 0, Some(SimDuration::from_millis(47)));
         assert_eq!(c % ChunkLimits::default().step, 0);
     }
 
-    #[test]
-    fn memoized_budget_matches_uncached() {
-        let cached = analytical_budget();
-        let uncached =
-            ChunkBudget::uncached(LatencyPredictor::analytical(&hw()), ChunkLimits::default());
-        for num_decodes in [0u32, 1, 8, 64, 200] {
-            for ctx_per_decode in [0u64, 300, 1_500, 4_000] {
-                for prefill_context in [0u32, 512, 16_384] {
-                    for slack_ms in [0u64, 5, 30, 80, 400] {
-                        let args = (
-                            num_decodes,
-                            num_decodes as u64 * ctx_per_decode,
-                            prefill_context,
-                            Some(SimDuration::from_millis(slack_ms)),
-                        );
-                        // Twice each, so the second call exercises hits.
-                        for _ in 0..2 {
-                            assert_eq!(
-                                cached.prefill_budget(args.0, args.1, args.2, args.3),
-                                uncached.prefill_budget(args.0, args.1, args.2, args.3),
-                                "diverged at {args:?}"
-                            );
-                        }
+    /// The arguments of one `prefill_budget` call: `(num_decodes,
+    /// decode_context_total, prefill_context, slack)`.
+    type Query = (u32, u64, u32, Option<SimDuration>);
+
+    /// The reference `prefill_budget` must match: the same search, with a
+    /// fresh `BatchProfile` built for every probe.
+    fn fresh_profile_budget(
+        predictor: &LatencyPredictor,
+        limits: ChunkLimits,
+        (num_decodes, decode_context_total, prefill_context, slack): Query,
+    ) -> u32 {
+        match slack {
+            None => limits.max_chunk,
+            Some(slack) => search(limits, |chunk| {
+                let batch = BatchProfile::builder()
+                    .prefill_chunk(chunk, prefill_context)
+                    .decodes(num_decodes, decode_context_total)
+                    .build();
+                predictor.predict(&batch) <= slack
+            }),
+        }
+    }
+
+    /// Runs `queries` in order through `budget` (so each search starts
+    /// from the probe batch the previous one left) and checks every budget
+    /// against the fresh-profile reference over `reference`.
+    fn assert_matches_reference(
+        budget: &mut ChunkBudget,
+        reference: &LatencyPredictor,
+        queries: impl IntoIterator<Item = Query>,
+    ) {
+        for args in queries {
+            assert_eq!(
+                budget.prefill_budget(args.0, args.1, args.2, args.3),
+                fresh_profile_budget(reference, budget.limits(), args),
+                "diverged at {args:?}"
+            );
+        }
+    }
+
+    /// One query per point of a grid of decode pools, prompt depths and
+    /// slacks (`None` is unconstrained).
+    fn query_grid(
+        num_decodes: &[u32],
+        ctx_per_decode: &[u64],
+        prefill_context: &[u32],
+        slack_ms: &[Option<u64>],
+    ) -> Vec<Query> {
+        let mut queries = Vec::new();
+        for &n in num_decodes {
+            for &ctx in ctx_per_decode {
+                for &prefill in prefill_context {
+                    for &slack in slack_ms {
+                        let slack = slack.map(SimDuration::from_millis);
+                        queries.push((n, u64::from(n) * ctx, prefill, slack));
                     }
                 }
             }
         }
-        let (hits, misses) = cached.cache_stats();
-        assert!(hits > 0, "repeat probes must hit the cache");
-        assert!(misses > 0);
-        assert_eq!(uncached.cache_stats(), (0, 0));
+        queries
     }
 
     #[test]
-    fn memoized_forest_budget_matches_uncached() {
-        // The forest is the expensive backend the cache exists for; make
-        // sure cached hits reproduce its exact (rounded, margin-inflated)
-        // comparisons too.
-        let seeds = SeedStream::new(79);
-        let predictor = LatencyPredictor::train_forest(&hw(), &seeds);
-        let cached = ChunkBudget::new(predictor.clone(), ChunkLimits::default());
-        let uncached = ChunkBudget::uncached(predictor, ChunkLimits::default());
-        for num_decodes in [2u32, 40, 120] {
-            for slack_ms in [10u64, 55, 150] {
-                let ctx = num_decodes as u64 * 1_200;
-                for _ in 0..2 {
-                    assert_eq!(
-                        cached.prefill_budget(
-                            num_decodes,
-                            ctx,
-                            1_024,
-                            Some(SimDuration::from_millis(slack_ms))
-                        ),
-                        uncached.prefill_budget(
-                            num_decodes,
-                            ctx,
-                            1_024,
-                            Some(SimDuration::from_millis(slack_ms))
-                        ),
-                    );
-                }
-            }
-        }
-        let (hits, _) = cached.cache_stats();
-        assert!(hits > 0);
+    fn budget_matches_fresh_profile_reference() {
+        let queries = query_grid(
+            &[0, 1, 8, 64, 200],
+            &[0, 300, 1_500, 4_000],
+            &[0, 512, 16_384],
+            &[None, Some(0), Some(5), Some(30), Some(80), Some(400)],
+        );
+        // Forwards, then backwards: each search follows a different one.
+        let reversed = queries.iter().rev().copied().collect::<Vec<_>>();
+        let mut b = analytical_budget();
+        let reference = LatencyPredictor::analytical(&hw());
+        assert_matches_reference(&mut b, &reference, queries);
+        assert_matches_reference(&mut b, &reference, reversed);
     }
 
     #[test]
-    fn unconstrained_slack_skips_the_cache() {
-        let b = analytical_budget();
-        assert_eq!(b.prefill_budget(8, 8 * 500, 0, None), b.limits().max_chunk);
-        assert_eq!(b.cache_stats(), (0, 0));
+    fn forest_budget_matches_fresh_profile_reference() {
+        let predictor = LatencyPredictor::train_forest(&hw(), &SeedStream::new(79));
+        let mut b = ChunkBudget::new(predictor.clone(), ChunkLimits::default());
+        let queries = query_grid(
+            &[2, 40, 120],
+            &[1_200],
+            &[0, 1_024],
+            &[Some(0), Some(10), Some(55), Some(150)],
+        );
+        assert_matches_reference(&mut b, &predictor, queries);
     }
 
     #[test]
     fn cloned_budget_keeps_working() {
-        // Clone while the cache is warm; both copies stay consistent.
-        let b = analytical_budget();
+        // Clone after a search; both copies keep returning its budget.
+        let mut b = analytical_budget();
         let slack = Some(SimDuration::from_millis(60));
         let before = b.prefill_budget(32, 32 * 1_500, 0, slack);
-        let clone = b.clone();
+        let mut clone = b.clone();
         assert_eq!(clone.prefill_budget(32, 32 * 1_500, 0, slack), before);
         assert_eq!(b.prefill_budget(32, 32 * 1_500, 0, slack), before);
     }
@@ -754,11 +604,11 @@ mod tests {
     #[test]
     fn forest_budget_is_close_to_analytical_budget() {
         let seeds = SeedStream::new(78);
-        let fb = ChunkBudget::new(
+        let mut fb = ChunkBudget::new(
             LatencyPredictor::train_forest(&hw(), &seeds),
             ChunkLimits::default(),
         );
-        let ab = analytical_budget();
+        let mut ab = analytical_budget();
         let slack = Some(SimDuration::from_millis(80));
         let f = fb.prefill_budget(40, 40 * 1_500, 0, slack) as f64;
         let a = ab.prefill_budget(40, 40 * 1_500, 0, slack) as f64;
@@ -819,47 +669,64 @@ mod tests {
     }
 
     #[test]
-    fn memo_survives_margin_retuning() {
-        // Warm the cache under one margin, retune, and check the cached
-        // path still matches a fresh uncached search at every margin —
-        // the margin is part of the memo key, so stale entries cannot leak.
-        let mut cached = analytical_budget();
-        let slack = Some(SimDuration::from_millis(45));
+    fn retuned_margin_matches_fresh_profile_reference() {
+        // Retune between searches, returning to earlier margins; each
+        // search must use the margin set last.
+        let mut b = analytical_budget();
         for margin in [0.08, 0.25, 0.08, 0.5, 0.0] {
-            cached.set_margin(margin);
-            let uncached = ChunkBudget::uncached(
-                LatencyPredictor::analytical(&hw()).with_margin(margin),
-                ChunkLimits::default(),
-            );
-            for num_decodes in [4u32, 48, 130] {
-                let ctx = num_decodes as u64 * 1_400;
-                assert_eq!(
-                    cached.prefill_budget(num_decodes, ctx, 512, slack),
-                    uncached.prefill_budget(num_decodes, ctx, 512, slack),
-                    "diverged at margin {margin} decodes {num_decodes}"
-                );
-            }
+            b.set_margin(margin);
+            let reference = LatencyPredictor::analytical(&hw()).with_margin(margin);
+            let queries = query_grid(&[4, 48, 130], &[1_400], &[512], &[Some(45)]);
+            assert_matches_reference(&mut b, &reference, queries);
         }
-        let (hits, _) = cached.cache_stats();
-        assert!(hits > 0, "revisiting a previous margin must hit the cache");
     }
 
     #[test]
-    fn memo_survives_fallback_engagement() {
-        let seeds = SeedStream::new(81);
-        let predictor = LatencyPredictor::train_forest(&hw(), &seeds);
-        let mut cached = ChunkBudget::new(predictor.clone(), ChunkLimits::default());
-        let slack = Some(SimDuration::from_millis(60));
-        // Warm with forest predictions.
-        cached.prefill_budget(32, 32 * 1_200, 0, slack);
-        assert!(cached.engage_fallback());
+    fn engaged_fallback_matches_fresh_profile_reference() {
+        let predictor = LatencyPredictor::train_forest(&hw(), &SeedStream::new(81));
+        let mut b = ChunkBudget::new(predictor.clone(), ChunkLimits::default());
+        let queries = || query_grid(&[32], &[1_200], &[0], &[Some(60)]);
+        assert_matches_reference(&mut b, &predictor, queries());
+        assert!(b.engage_fallback());
         let mut reference = predictor;
         reference.engage_fallback();
-        let uncached = ChunkBudget::uncached(reference, ChunkLimits::default());
-        assert_eq!(
-            cached.prefill_budget(32, 32 * 1_200, 0, slack),
-            uncached.prefill_budget(32, 32 * 1_200, 0, slack),
-            "post-fallback budgets must ignore pre-fallback cache entries"
-        );
+        assert_matches_reference(&mut b, &reference, queries());
+    }
+
+    #[test]
+    fn traced_budgets_report_the_chosen_batch_prediction() {
+        let tracer = Tracer::new(Box::new(VecSink::new()));
+        let mut traced = analytical_budget();
+        traced.set_tracer(tracer.clone());
+        let mut untraced = analytical_budget();
+        // Unconstrained, constrained, and two zero-slack searches that
+        // return 0, one of them with no decodes at all.
+        let queries = [
+            (8, 8 * 500, 0, None),
+            (48, 48 * 1_800, 2_048, Some(SimDuration::from_millis(55))),
+            (64, 64 * 2_000, 4_096, Some(SimDuration::ZERO)),
+            (0, 0, 4_096, Some(SimDuration::ZERO)),
+        ];
+        let budgets = queries.map(|(n, ctx, prefill, slack)| {
+            let budget = traced.prefill_budget(n, ctx, prefill, slack);
+            assert_eq!(budget, untraced.prefill_budget(n, ctx, prefill, slack));
+            budget
+        });
+        assert_eq!(budgets[2..], [0, 0]);
+        let records = tracer.snapshot();
+        assert_eq!(records.len(), queries.len());
+        for ((record, (n, ctx, prefill, _)), budget) in records.iter().zip(queries).zip(budgets) {
+            let batch = BatchProfile::builder()
+                .prefill_chunk(budget, prefill)
+                .decodes(n, ctx)
+                .build();
+            let want = TraceEvent::ChunkBudgetChosen {
+                budget,
+                predicted_us: traced.predictor().predict_raw_us(&batch),
+                margin: traced.predictor().margin(),
+                cache_hit: false,
+            };
+            assert_eq!(record.event, want, "at budget {budget}");
+        }
     }
 }

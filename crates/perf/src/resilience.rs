@@ -18,8 +18,7 @@
 //!   gross error — recommends a hard fallback from the forest to the
 //!   analytical predictor. New margins land on a quantization grid
 //!   anchored at the base margin, so the calm state is *exactly* the base
-//!   margin (fault-free runs stay bit-identical to the static pipeline)
-//!   and the chunk-budget memo sees few distinct margin keys.
+//!   margin (fault-free runs stay bit-identical to the static pipeline).
 //!
 //! Everything here is pure state-machine arithmetic on recorded samples:
 //! no clocks, no randomness, no hashing — replays are bit-identical.

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use qoserve_perf::{BatchProfile, LatencyPredictor};
-use qoserve_sim::{OnlineStats, SimDuration};
+use qoserve_sim::{nums, OnlineStats, SimDuration};
 
 use crate::job::PrefillJob;
 
@@ -131,23 +131,17 @@ impl ProcessingEstimator {
     }
 
     /// Estimated time to process `tokens` of prefill.
-    #[expect(
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss,
-        reason = "lossy-cast debt: route through `qoserve_sim::nums`"
-    )]
     pub fn prefill_time(&self, tokens: u32) -> SimDuration {
-        SimDuration::from_micros((tokens as f64 * self.prefill_us_per_token).round() as u64)
+        SimDuration::from_micros(nums::f64_round_to_u64(
+            f64::from(tokens) * self.prefill_us_per_token,
+        ))
     }
 
     /// Estimated time to decode `tokens` output tokens.
-    #[expect(
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss,
-        reason = "lossy-cast debt: route through `qoserve_sim::nums`"
-    )]
     pub fn decode_time(&self, tokens: f64) -> SimDuration {
-        SimDuration::from_micros((tokens.max(0.0) * self.decode_us_per_token).round() as u64)
+        SimDuration::from_micros(nums::f64_round_to_u64(
+            tokens.max(0.0) * self.decode_us_per_token,
+        ))
     }
 
     /// Estimated end-to-end remaining time for a request of `app_id` with

@@ -5,6 +5,8 @@
 //! as a priority key over [`PrefillJob`]s — smaller keys schedule first —
 //! so they all plug into the same [`JobQueue`](crate::JobQueue).
 
+use qoserve_sim::nums;
+
 use crate::job::PrefillJob;
 
 /// A classical ordering policy for the prefill queue.
@@ -27,18 +29,10 @@ impl OrderPolicy {
     /// The priority key for `job` (smaller = sooner).
     pub fn key(&self, job: &PrefillJob) -> i64 {
         match self {
-            #[expect(
-                clippy::cast_possible_wrap,
-                reason = "lossy-cast debt: route through `qoserve_sim::nums`"
-            )]
-            OrderPolicy::Fcfs => job.spec.arrival.as_micros() as i64,
+            OrderPolicy::Fcfs => nums::u64_clamp_i64(job.spec.arrival.as_micros()),
             OrderPolicy::Sjf => job.spec.prompt_tokens as i64,
             OrderPolicy::Srpf => job.remaining_tokens() as i64,
-            #[expect(
-                clippy::cast_possible_wrap,
-                reason = "lossy-cast debt: route through `qoserve_sim::nums`"
-            )]
-            OrderPolicy::Edf => job.urgency_deadline().as_micros() as i64,
+            OrderPolicy::Edf => nums::u64_clamp_i64(job.urgency_deadline().as_micros()),
         }
     }
 

@@ -25,7 +25,7 @@ use qoserve_perf::{
     AdaptiveMargin, AdaptiveMarginConfig, BatchProfile, ChunkBudget, ChunkLimits, LatencyPredictor,
 };
 use qoserve_sim::float::priority_micros;
-use qoserve_sim::{SimDuration, SimTime};
+use qoserve_sim::{nums, SimDuration, SimTime};
 use qoserve_trace::{RelegationReason, TraceEvent, Tracer, RELEGATED_TIER};
 use qoserve_workload::{Priority, RequestSpec};
 
@@ -257,31 +257,23 @@ impl QoServeScheduler {
     /// the overload signal that triggers preferential relegation of
     /// low-priority jobs.
     fn backlog_overloaded(&self) -> bool {
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "lossy-cast debt: route through `qoserve_sim::nums`"
-        )]
-        let drain = self
-            .estimator
-            .prefill_time(self.live_backlog_tokens().min(u32::MAX as u64) as u32);
+        let backlog = self.live_backlog_tokens().min(u64::from(u32::MAX));
+        let drain = self.estimator.prefill_time(nums::u64_to_u32(backlog));
         drain > self.config.shed_backlog
     }
 
     /// Computes the prefill token budget for this iteration.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "lossy-cast debt: route through `qoserve_sim::nums`"
-    )]
     fn compute_budget(&mut self, now: SimTime, decodes: &[DecodeJob]) -> u32 {
+        let num_decodes = nums::usize_to_u32(decodes.len());
         if !self.config.dynamic_chunking {
-            return self.config.fixed_chunk.saturating_sub(decodes.len() as u32);
+            return self.config.fixed_chunk.saturating_sub(num_decodes);
         }
         let slack = min_decode_slack(decodes, now);
-        let ctx_total: u64 = decodes.iter().map(|d| d.context_len as u64).sum();
+        let ctx_total: u64 = decodes.iter().map(|d| u64::from(d.context_len)).sum();
         // Context depth of the job the chunk will most likely go to.
         let head_context = self.queue.peek().map_or(0, |j| j.prefill_done);
         self.budget
-            .prefill_budget(decodes.len() as u32, ctx_total, head_context, slack)
+            .prefill_budget(num_decodes, ctx_total, head_context, slack)
     }
 
     /// Updates α under the load-adaptive policy; rekeys the queue when α

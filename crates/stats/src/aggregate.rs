@@ -484,11 +484,11 @@ impl StatsAggregator {
                 budget,
                 predicted_us: _,
                 margin: _,
-                cache_hit,
+                cache_hit: _,
             } => {
-                let rep = self.replica_entry(frame, r.replica);
-                rep.chunk_budget.record(r.time_us, u64::from(budget));
-                rep.chunk_cache_hits += u64::from(cache_hit);
+                self.replica_entry(frame, r.replica)
+                    .chunk_budget
+                    .record(r.time_us, u64::from(budget));
             }
             TraceEvent::PriorityScored {
                 edf_term: _,

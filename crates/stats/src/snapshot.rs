@@ -145,8 +145,6 @@ pub struct ReplicaStats {
     pub fallback: Option<bool>,
     /// Hybrid EDF↔SRPF priority scores computed.
     pub priority_scored: u64,
-    /// Chunk-budget searches served from the memo cache.
-    pub chunk_cache_hits: u64,
     /// Trace records the capture sink evicted that were attributed to
     /// this replica (truncated observability, not lost requests).
     pub dropped: u64,
@@ -177,7 +175,6 @@ json_struct!(ReplicaStats {
     last_margin,
     fallback,
     priority_scored,
-    chunk_cache_hits,
     dropped,
 });
 
@@ -286,7 +283,6 @@ impl ReplicaStats {
             self.fallback = other.fallback;
         }
         self.priority_scored += other.priority_scored;
-        self.chunk_cache_hits += other.chunk_cache_hits;
         self.dropped += other.dropped;
     }
 }

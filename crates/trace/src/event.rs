@@ -128,7 +128,8 @@ pub enum TraceEvent {
         predicted_us: f64,
         /// Safety margin the search applied.
         margin: f64,
-        /// Whether the search was served entirely from the memo cache.
+        /// Always `false`: the budget search keeps no prediction cache.
+        /// Older traces may hold `true`.
         cache_hit: bool,
     },
     /// Hybrid EDF↔SRPF prioritization scored an arriving request (Eq. 4/5).

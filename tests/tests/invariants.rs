@@ -209,25 +209,25 @@ fn scheduler_decisions_are_pinned() {
             "QoServe",
             SchedulerSpec::qoserve(),
             0x77c2_4abb_2320_fa92,
-            0x0695_3ae9_4ce5_0371,
+            0xc2a9_09e6_112f_3e21,
         ),
         (
             "QoServe (DC)",
             SchedulerSpec::qoserve_with(QoServeConfig::ablation_dc()),
             0xbedd_ad91_6c1c_531d,
-            0x68a5_829e_5d77_d9d5,
+            0x3afd_839c_85d7_5db5,
         ),
         (
             "QoServe (DC+ER)",
             SchedulerSpec::qoserve_with(QoServeConfig::ablation_dc_er()),
             0x10fa_a5a9_0961_3adf,
-            0x0df7_254c_3e19_86e6,
+            0x8415_a465_856a_1874,
         ),
         (
             "QoServe adaptive",
             SchedulerSpec::qoserve_adaptive(),
             0x77c2_4abb_2320_fa92,
-            0xcc1a_2f2d_459d_ed86,
+            0x471f_bee3_5d96_490c,
         ),
         (
             "Medha",
@@ -265,7 +265,7 @@ fn scheduler_decisions_are_pinned() {
             "DeadlineAware",
             SchedulerSpec::deadline_aware(SchedulerSpec::qoserve_adaptive()),
             0x77c2_4abb_2320_fa92,
-            0xcc1a_2f2d_459d_ed86,
+            0x471f_bee3_5d96_490c,
         ),
     ];
     let config = ClusterConfig::new(hw());
@@ -374,8 +374,8 @@ fn elastic_kernel_is_pinned() {
         got,
         (
             0x0ad8_a714_80d9_3dae,
-            0xbc29_722b_58b8_4cf5,
-            0xea23_a935_7e63_676c
+            0xc248_62d4_78ec_0ebe,
+            0x0025_07d6_7d36_17f6
         ),
         "elastic kernel digests changed: {got:#018x?}"
     );
