@@ -214,7 +214,9 @@ fn drained_replicas_never_receive_new_work() {
 #[test]
 fn drain_migration_stamps_reconcile_with_counters() {
     // Heavy load + tight drain grace: drains fire with decodes still
-    // running, so migrated work is guaranteed.
+    // running, so migrated work is guaranteed. With no retry budget the
+    // same orphans are dropped instead, so none may carry a drain stamp:
+    // a migration counts only once its orphan is placed.
     let trace = chaos_trace(53, 20.0, 300);
     let config = cluster_config();
     let elastic = ElasticPlan {
@@ -235,37 +237,52 @@ fn drain_migration_stamps_reconcile_with_counters() {
         ],
         autoscale: None,
     };
-    let result = run_shared_elastic(
-        &trace,
-        3,
-        &SchedulerSpec::qoserve(),
-        &config,
-        &FaultPlan::none(),
-        &elastic,
-        &SeedStream::new(53),
-    )
-    .expect("elastic run routes");
+    let no_retries = FaultPlan {
+        max_retries: 0,
+        ..FaultPlan::none()
+    };
+    for (plan, migrates) in [(FaultPlan::none(), true), (no_retries, false)] {
+        let result = run_shared_elastic(
+            &trace,
+            3,
+            &SchedulerSpec::qoserve(),
+            &config,
+            &plan,
+            &elastic,
+            &SeedStream::new(53),
+        )
+        .expect("elastic run routes");
 
-    assert!(
-        result.stats.drain_migrated > 0,
-        "a drain under saturation must migrate in-flight work"
-    );
-    let stamped: u64 = result
-        .outcomes
-        .iter()
-        .map(|o| o.drain_migrations as u64)
-        .sum();
-    assert_eq!(
-        stamped, result.stats.drain_migrated,
-        "per-request drain stamps must reconcile with the run counter"
-    );
-    for o in &result.outcomes {
-        if o.drain_migrations > 0 {
+        if migrates {
             assert!(
-                o.retries > 0,
-                "a migrated request went through re-dispatch, so its \
-                 attempt counter must have moved"
+                result.stats.drain_migrated > 0,
+                "a drain under saturation must migrate in-flight work"
             );
+        } else {
+            assert!(
+                result.stats.retry_exhausted > 0 && result.stats.drain_migrated == 0,
+                "with no retry budget the drain's orphans must be dropped, \
+                 not migrated: {:?}",
+                result.stats
+            );
+        }
+        let stamped: u64 = result
+            .outcomes
+            .iter()
+            .map(|o| o.drain_migrations as u64)
+            .sum();
+        assert_eq!(
+            stamped, result.stats.drain_migrated,
+            "per-request drain stamps must reconcile with the run counter"
+        );
+        for o in &result.outcomes {
+            if o.drain_migrations > 0 {
+                assert!(
+                    o.retries > 0,
+                    "a migrated request went through re-dispatch, so its \
+                     attempt counter must have moved"
+                );
+            }
         }
     }
 }

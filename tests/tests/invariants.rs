@@ -406,6 +406,138 @@ fn elastic_kernel_is_pinned() {
     assert_eq!(r.fleet, fleet);
 }
 
+/// Digest of every outcome's recovery history (retries, re-prefilled
+/// tokens, drain migrations), in outcome order.
+fn history_digest(outcomes: &[RequestOutcome]) -> u64 {
+    outcomes.iter().fold(FNV_OFFSET, |h, o| {
+        [
+            o.spec.id.0,
+            u64::from(o.retries),
+            o.reprefill_tokens,
+            u64::from(o.drain_migrations),
+        ]
+        .iter()
+        .fold(h, |h, v| fnv1a(h, &v.to_le_bytes()))
+    })
+}
+
+/// The re-dispatch branches `elastic_kernel_is_pinned` never takes:
+/// (a) a fixed fleet of 4 with circuit breakers under doubled moderate
+/// faults (Azure-Conv at Poisson 10 QPS for 120 s, 20 % low priority),
+/// where breakers open and steer orphans away from unhealthy replicas;
+/// (b) a drain under saturation (the scenario of
+/// `chaos::drain_migration_stamps_reconcile_with_counters`), whose
+/// unfinished work migrates through the orphan path. Pins the outcomes,
+/// their recovery history and the recovery counters of both. A
+/// deliberate behaviour change re-records them from the failure message.
+#[test]
+fn redispatch_branches_are_pinned() {
+    let diverted = {
+        let trace = TraceBuilder::new(Dataset::azure_conv())
+            .arrivals(ArrivalProcess::poisson(10.0))
+            .duration(SimDuration::from_secs(120))
+            .tier_mix(TierMix::paper_equal())
+            .low_priority_fraction(0.2)
+            .build(&SeedStream::new(41));
+        let plan = FaultPlan::with_faults(FaultConfig::moderate().scaled(2.0))
+            .with_breaker(BreakerConfig::default());
+        run_shared_elastic(
+            &trace,
+            4,
+            &SchedulerSpec::qoserve(),
+            &ClusterConfig::new(hw()),
+            &plan,
+            &ElasticPlan::none(),
+            &SeedStream::new(41),
+        )
+        .expect("the faulty run routes")
+    };
+    let drained = {
+        let trace = TraceBuilder::new(Dataset::azure_conv())
+            .arrivals(ArrivalProcess::poisson(20.0))
+            .num_requests(300)
+            .tier_mix(TierMix::paper_equal())
+            .low_priority_fraction(0.3)
+            .build(&SeedStream::new(53));
+        let elastic = ElasticPlan {
+            lifecycle: LifecycleConfig {
+                provision_delay: SimDuration::from_secs(2),
+                warmup: SimDuration::from_secs(3),
+                drain_grace: SimDuration::from_millis(200),
+            },
+            max_replicas: 3,
+            schedule: vec![
+                ScaleEvent {
+                    at: SimTime::from_secs(3),
+                    action: ScaleAction::Drain,
+                },
+                ScaleEvent {
+                    at: SimTime::from_secs(6),
+                    action: ScaleAction::Add,
+                },
+            ],
+            autoscale: None,
+        };
+        run_shared_elastic(
+            &trace,
+            3,
+            &SchedulerSpec::qoserve(),
+            &ClusterConfig::new(hw()),
+            &FaultPlan::none(),
+            &elastic,
+            &SeedStream::new(53),
+        )
+        .expect("the elastic run routes")
+    };
+    // (outcome digest, history digest) per run
+    let got =
+        [&diverted, &drained].map(|r| (outcome_digest(&r.outcomes), history_digest(&r.outcomes)));
+    assert_eq!(
+        got,
+        [
+            (0x49f6_3372_48b8_d778, 0x51fe_cb5c_365f_e2b3),
+            (0x6105_54ba_df69_9ece, 0xc15a_5b4c_f5d6_e2b4),
+        ],
+        "re-dispatch digests changed: {got:#018x?}"
+    );
+    assert_eq!(
+        diverted.stats,
+        FaultRunStats {
+            crashes: 3,
+            restarts: 3,
+            redispatches: 549,
+            shed: 0,
+            retry_exhausted: 0,
+            reprefill_tokens: 86_977,
+            degraded_iterations: 3_755,
+            breaker_opens: 25,
+            breaker_diverted: 41,
+            scale_ups: 0,
+            scale_downs: 0,
+            drain_migrated: 0,
+            warmup_wasted_us: 0,
+        }
+    );
+    assert_eq!(
+        drained.stats,
+        FaultRunStats {
+            crashes: 0,
+            restarts: 0,
+            redispatches: 11,
+            shed: 0,
+            retry_exhausted: 0,
+            reprefill_tokens: 17_958,
+            degraded_iterations: 0,
+            breaker_opens: 0,
+            breaker_diverted: 0,
+            scale_ups: 1,
+            scale_downs: 1,
+            drain_migrated: 11,
+            warmup_wasted_us: 5_000_000,
+        }
+    );
+}
+
 /// The facade API preserves the same invariants.
 #[test]
 fn facade_conservation() {
