@@ -15,14 +15,14 @@
 //!   again (the probe). A recovered score closes the breaker, a still-bad
 //!   score re-opens it for another cooldown.
 //!
-//! Target selection ([`pick_target`]) prefers breaker-allowed replicas
-//! but *always* falls back to the full up-set when every breaker is open
-//! — a breaker may delay work, never strand it. All transitions are
-//! driven by simulated time and deterministic health scores, so breaker
-//! decisions replay bit-identically.
+//! Each breaker lives in its replica's kernel slot. When the kernel's
+//! dispatcher places an orphan it prefers replicas whose breaker allows
+//! work but *always* falls back to every serving, up replica when all of
+//! them block — a breaker may delay work, never strand it. All
+//! transitions are driven by simulated time and deterministic health
+//! scores, so breaker decisions replay bit-identically.
 
-use qoserve_engine::{HealthSnapshot, ReplicaState};
-use qoserve_sim::nums;
+use qoserve_engine::HealthSnapshot;
 use qoserve_sim::{SimDuration, SimTime};
 use qoserve_trace::{BreakerPhase, TraceEvent, Tracer};
 
@@ -73,7 +73,7 @@ pub struct CircuitBreaker {
     opened_at: SimTime,
     opens: u64,
     /// Decision tracer, pre-bound to this breaker's replica id by the
-    /// recovery orchestrator (disabled by default).
+    /// cluster kernel (disabled by default).
     tracer: Tracer,
 }
 
@@ -172,76 +172,6 @@ impl CircuitBreaker {
         self.state = BreakerState::Closed;
         self.opened_at = SimTime::ZERO;
     }
-}
-
-/// A dispatch decision from [`pick_target`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PickedTarget {
-    /// The chosen replica id (always a member of the caller's up-set).
-    pub replica: u32,
-    /// True when the breakers pruned the candidate set — the pick was
-    /// steered away from at least one up-but-unhealthy replica.
-    pub diverted: bool,
-}
-
-/// Round-robin over `up` by the caller's rotation cursor. `None` only
-/// when `up` is empty.
-pub fn pick_round_robin(up: &[u32], rotation: u64) -> Option<PickedTarget> {
-    if up.is_empty() {
-        return None;
-    }
-    Some(PickedTarget {
-        replica: up[nums::u64_to_usize(rotation % nums::usize_to_u64(up.len()))],
-        diverted: false,
-    })
-}
-
-/// Health- and lifecycle-aware target selection.
-///
-/// The candidate set is pruned in two stages with different strength:
-///
-/// 1. **Lifecycle filter (strict).** `states` is indexed by replica id
-///    (replicas beyond its length count as serving, so non-elastic
-///    callers pass `&[]`). Replicas whose state does not
-///    [accept work](qoserve_engine::ReplicaState::accepts_work) — e.g.
-///    `Warming` or `Draining` — are removed with *no* fallback: routing
-///    to a draining replica would violate the drain contract, and a
-///    warming replica has no model loaded. `None` when nothing survives.
-/// 2. **Breaker filter (soft).** Round-robin over the breaker-allowed
-///    subset, falling back to the whole lifecycle-admissible set when
-///    every breaker blocks — a breaker may delay work, never strand it.
-///    `breakers` is indexed by replica id.
-pub fn pick_target(
-    up: &[u32],
-    states: &[ReplicaState],
-    breakers: &[CircuitBreaker],
-    rotation: u64,
-    at: SimTime,
-) -> Option<PickedTarget> {
-    let admissible: Vec<u32> = up
-        .iter()
-        .copied()
-        .filter(|&r| {
-            states
-                .get(nums::u32_to_usize(r))
-                .is_none_or(|s| s.accepts_work())
-        })
-        .collect();
-    if admissible.is_empty() {
-        return None;
-    }
-    let allowed: Vec<u32> = admissible
-        .iter()
-        .copied()
-        .filter(|&r| breakers.get(r as usize).is_none_or(|b| b.allows(at)))
-        .collect();
-    if allowed.is_empty() || allowed.len() == admissible.len() {
-        return pick_round_robin(&admissible, rotation);
-    }
-    pick_round_robin(&allowed, rotation).map(|p| PickedTarget {
-        diverted: true,
-        ..p
-    })
 }
 
 #[cfg(test)]
@@ -350,122 +280,5 @@ mod tests {
         assert_eq!(b.state(), BreakerState::Closed);
         assert_eq!(b.open_count(), 1, "history survives for stats");
         assert!(b.allows(secs(2)));
-    }
-
-    #[test]
-    fn pick_target_prefers_allowed_replicas() {
-        let mut breakers: Vec<CircuitBreaker> = (0..3)
-            .map(|_| CircuitBreaker::new(BreakerConfig::default()))
-            .collect();
-        breakers[1].observe(&snapshot(3.0, HEALTH_WINDOW), secs(1));
-        let up = [0u32, 1, 2];
-        for rotation in 0..6 {
-            let p = pick_target(&up, &[], &breakers, rotation, secs(2)).unwrap();
-            assert_ne!(p.replica, 1, "open breaker must divert work");
-            assert!(p.diverted);
-        }
-    }
-
-    #[test]
-    fn pick_target_falls_back_when_every_breaker_is_open() {
-        let mut breakers: Vec<CircuitBreaker> = (0..2)
-            .map(|_| CircuitBreaker::new(BreakerConfig::default()))
-            .collect();
-        for b in &mut breakers {
-            b.observe(&snapshot(3.0, HEALTH_WINDOW), secs(1));
-        }
-        let up = [0u32, 1];
-        let p = pick_target(&up, &[], &breakers, 0, secs(2)).unwrap();
-        assert_eq!(p.replica, 0, "fallback is plain round-robin over up");
-        assert!(!p.diverted, "no healthy subset existed to divert into");
-    }
-
-    #[test]
-    fn pick_target_with_all_closed_matches_round_robin() {
-        let breakers: Vec<CircuitBreaker> = (0..3)
-            .map(|_| CircuitBreaker::new(BreakerConfig::default()))
-            .collect();
-        let up = [0u32, 2];
-        for rotation in 0..5 {
-            assert_eq!(
-                pick_target(&up, &[], &breakers, rotation, secs(1)),
-                pick_round_robin(&up, rotation),
-            );
-        }
-    }
-
-    #[test]
-    fn pick_target_never_routes_to_warming_or_draining() {
-        // Regression for the elastic control plane: lifecycle states are
-        // a strict filter with no fallback, unlike breakers.
-        let up = [0u32, 1, 2, 3];
-        let states = [
-            ReplicaState::Up,
-            ReplicaState::Warming,
-            ReplicaState::Draining,
-            ReplicaState::Up,
-        ];
-        for rotation in 0..8 {
-            let p = pick_target(&up, &states, &[], rotation, secs(1)).unwrap();
-            assert!(
-                p.replica == 0 || p.replica == 3,
-                "rotation {rotation} routed to lifecycle-inadmissible replica {}",
-                p.replica
-            );
-        }
-        // Even with every breaker healthy, an all-draining fleet yields
-        // no target — the drain contract beats the never-strand rule.
-        let draining = [ReplicaState::Draining; 4];
-        assert_eq!(pick_target(&up, &draining, &[], 0, secs(1)), None);
-        // Replicas beyond the states slice count as serving.
-        let short = [ReplicaState::Draining];
-        let p = pick_target(&up, &short, &[], 0, secs(1)).unwrap();
-        assert_ne!(p.replica, 0);
-    }
-
-    #[test]
-    fn empty_up_set_yields_none() {
-        assert_eq!(pick_round_robin(&[], 3), None);
-        assert_eq!(pick_target(&[], &[], &[], 3, secs(1)), None);
-    }
-
-    mod prop {
-        use super::*;
-        use qoserve_sim::{forall, Rng};
-
-        /// The breaker may steer work, never strand it: for any non-empty
-        /// up-set and any breaker states, a target exists and is a member
-        /// of the up-set.
-        #[test]
-        fn never_strands_work() {
-            forall(128, 1, |rng| {
-                let size = rng.gen_range(1..8);
-                let mut up = std::collections::BTreeSet::new();
-                while up.len() < size {
-                    up.insert(rng.gen_range(0u32..8));
-                }
-                let up: Vec<u32> = up.into_iter().collect();
-                let bad: Vec<bool> = (0..8).map(|_| rng.gen()).collect();
-                let rotation: u64 = rng.gen();
-                let at_secs = rng.gen_range(0u64..100);
-                let mut breakers: Vec<CircuitBreaker> = bad
-                    .iter()
-                    .map(|_| CircuitBreaker::new(BreakerConfig::default()))
-                    .collect();
-                for (b, &is_bad) in breakers.iter_mut().zip(&bad) {
-                    if is_bad {
-                        b.observe(&snapshot(3.0, HEALTH_WINDOW), secs(at_secs));
-                    }
-                }
-                let picked = pick_target(&up, &[], &breakers, rotation, secs(at_secs));
-                let picked = picked.expect("non-empty up-set must yield a target");
-                assert!(up.contains(&picked.replica));
-                // Diversion only claims to have pruned when a healthy
-                // subset actually existed — and then the pick is healthy.
-                if picked.diverted {
-                    assert!(breakers[picked.replica as usize].allows(secs(at_secs)));
-                }
-            });
-        }
     }
 }

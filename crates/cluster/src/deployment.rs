@@ -119,12 +119,15 @@ pub fn run_shared_traced(
     tracer: &Tracer,
 ) -> Vec<RequestOutcome> {
     assert!(replicas > 0, "at least one replica is required");
-    let targets = config.router.assign(trace.requests(), replicas as usize);
-    let mut per_replica: Vec<Vec<RequestSpec>> = vec![Vec::new(); replicas as usize];
-    for (spec, target) in trace.requests().iter().zip(targets) {
-        per_replica[target].push(*spec);
-    }
-    let outcomes = run_replica_pools(per_replica, scheduler, config, seeds, 0, tracer);
+    let outcomes = run_pool(
+        trace.requests(),
+        replicas,
+        scheduler,
+        config,
+        seeds,
+        0,
+        tracer,
+    );
     tracer.flush();
     outcomes
 }
@@ -148,13 +151,9 @@ pub fn run_siloed(
             .filter(|r| silo.tiers.contains(&r.tier()))
             .copied()
             .collect();
-        let targets = config.router.assign(&members, silo.replicas as usize);
-        let mut per_replica: Vec<Vec<RequestSpec>> = vec![Vec::new(); silo.replicas as usize];
-        for (spec, target) in members.into_iter().zip(targets) {
-            per_replica[target].push(spec);
-        }
-        outcomes.extend(run_replica_pools(
-            per_replica,
+        outcomes.extend(run_pool(
+            &members,
+            silo.replicas,
             &silo.scheduler,
             config,
             seeds,
@@ -173,19 +172,26 @@ pub fn run_siloed(
     outcomes
 }
 
-/// Executes one pool of replicas on [`par_map`] workers (bounded by
-/// `QOSERVE_THREADS`, not by the replica count — a 256-replica run no
-/// longer spawns 256 OS threads). Replicas simulate independently, so
-/// worker scheduling cannot affect results: outcomes come back in
-/// replica order and are then sorted by request id.
-fn run_replica_pools(
-    per_replica: Vec<Vec<RequestSpec>>,
+/// Routes `requests` over a pool of `replicas` replicas with the
+/// configured router, then executes the pool on [`par_map`] workers
+/// (bounded by `QOSERVE_THREADS`, not by the replica count — a
+/// 256-replica run no longer spawns 256 OS threads). Replicas simulate
+/// independently, so worker scheduling cannot affect results: outcomes
+/// come back in replica order and are then sorted by request id.
+fn run_pool(
+    requests: &[RequestSpec],
+    replicas: u32,
     scheduler: &SchedulerSpec,
     config: &ClusterConfig,
     seeds: &SeedStream,
     replica_base: u32,
     tracer: &Tracer,
 ) -> Vec<RequestOutcome> {
+    let targets = config.router.assign(requests, nums::u32_to_usize(replicas));
+    let mut per_replica: Vec<Vec<RequestSpec>> = vec![Vec::new(); nums::u32_to_usize(replicas)];
+    for (spec, target) in requests.iter().zip(targets) {
+        per_replica[target].push(*spec);
+    }
     let results: Vec<Vec<RequestOutcome>> = par_map(per_replica, |idx, specs| {
         let replica_id = replica_base + nums::usize_to_u32(idx);
         let mut engine = build_engine(

@@ -22,10 +22,11 @@
 //! static pre-assignment. That first action recalls every undelivered
 //! request from every engine into a held pool and switches to windowed
 //! dynamic dispatch: at each control instant, held requests due before
-//! the next control instant are routed over the currently serving
-//! replicas by a [`FleetRouter`]. Held requests with no serving target
-//! are retried at the next control instant and terminally shed at the
-//! horizon — no request is ever silently dropped.
+//! the next control instant go round-robin over the serving slots. Held
+//! requests with no serving target are retried at the next control
+//! instant and terminally shed at the horizon — no request is ever
+//! silently dropped. One private dispatcher places them, and the crash
+//! and drain orphans too, each stream on its own round-robin cursor.
 //!
 //! # Control instants cost what they touch
 //!
@@ -54,9 +55,9 @@
 //! replica that crashes first is handled by the crash path and simply
 //! retires early.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use qoserve_engine::{OrphanedJob, ReplicaEngine, ReplicaState};
+use qoserve_engine::{OrphanedJob, ReplicaEngine};
 use qoserve_metrics::{Disposition, RequestOutcome};
 use qoserve_sim::faults::FaultSchedule;
 use qoserve_sim::nums;
@@ -65,14 +66,11 @@ use qoserve_trace::{ControlObserver, FaultKind, ScaleDirection, TraceEvent, Trac
 use qoserve_workload::{Priority, RequestId, RequestSpec, TierId, Trace};
 
 use crate::autoscale::{AutoscaleController, AutoscaleDecision, ControlObservation};
-use crate::breaker::{pick_target, CircuitBreaker};
+use crate::breaker::CircuitBreaker;
 use crate::deployment::{build_engine, ClusterConfig};
-use crate::lifecycle::{
-    drain_victim, DrainCandidate, ElasticPlan, FleetRouter, ScaleAction, ScaleEvent,
-};
-use crate::recovery::{
-    advance_to_barrier, pending_crash_barrier, FaultPlan, FaultRunStats, Slot, UpSetIndex,
-};
+use crate::dispatch::Dispatcher;
+use crate::lifecycle::{drain_victim, DrainCandidate, ElasticPlan, ScaleAction, ScaleEvent};
+use crate::recovery::{advance_to_barrier, pending_crash_barrier, FaultPlan, FaultRunStats, Slot};
 use crate::router::RouterError;
 use crate::spec::SchedulerSpec;
 
@@ -95,7 +93,7 @@ pub struct ElasticRunResult {
 /// states (`Up`/`Degraded`/`Down`) stay inside the engine; these phases
 /// are the cluster-side control-plane view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
+pub(crate) enum Phase {
     /// Unprovisioned slot (or retired replica); holds no capacity.
     Idle,
     /// Capacity allocated at `decided_at`; model load starts at
@@ -129,12 +127,8 @@ struct FleetState {
     /// False until the first applied scale action; while false the
     /// static pre-assignment stands untouched.
     dynamic: bool,
-    router: FleetRouter,
     fleet_log: Vec<(SimTime, u32)>,
     replica_us: u64,
-    /// Per-request drain-migration counts, stamped onto outcomes at the
-    /// end like retries.
-    drain_migrations: BTreeMap<RequestId, u32>,
 }
 
 impl FleetState {
@@ -178,32 +172,6 @@ impl FleetState {
         }
     }
 
-    /// The per-slot [`ReplicaState`] view used for routing filters.
-    fn lifecycle_states(&self, slots: &[Slot]) -> Vec<ReplicaState> {
-        self.phases
-            .iter()
-            .zip(slots)
-            .map(|(p, s)| match p {
-                _ if s.dead => ReplicaState::Down,
-                Phase::Idle => ReplicaState::Down,
-                Phase::Provisioning { .. } => ReplicaState::Provisioning,
-                Phase::Warming { .. } => ReplicaState::Warming,
-                Phase::Serving => ReplicaState::Up,
-                Phase::Draining { .. } => ReplicaState::Draining,
-            })
-            .collect()
-    }
-
-    /// Serving replicas (ascending), the dynamic-dispatch target set.
-    fn serving(&self, slots: &[Slot]) -> Vec<u32> {
-        self.phases
-            .iter()
-            .enumerate()
-            .filter(|(r, p)| matches!(p, Phase::Serving) && !slots[*r].dead)
-            .map(|(r, _)| nums::usize_to_u32(r))
-            .collect()
-    }
-
     /// Stops replica-time accrual for slot `r` at `at`.
     fn deprovision(&mut self, r: usize, at: SimTime) {
         if let Some(since) = self.provisioned_since[r].take() {
@@ -216,6 +184,18 @@ impl FleetState {
         self.deprovision(r, at);
         self.log_fleet(at);
     }
+}
+
+/// Live slots in [`Phase::Serving`], ascending: where held requests and
+/// orphans go, the drain-victim candidates and the autoscaler's serving
+/// count. `dead` reads whether a slot crashed for good.
+pub(crate) fn serving(phases: &[Phase], dead: impl Fn(usize) -> bool) -> Vec<u32> {
+    phases
+        .iter()
+        .enumerate()
+        .filter(|&(r, p)| matches!(p, Phase::Serving) && !dead(r))
+        .map(|(r, _)| nums::usize_to_u32(r))
+        .collect()
 }
 
 /// The autoscaler's attainment window over [`RecoveryBook::outcomes`],
@@ -262,15 +242,25 @@ impl AttainmentWindow {
     }
 }
 
-/// Retry/re-prefill bookkeeping shared by the crash and drain handoff
-/// paths.
+/// One request's recovery history, stamped onto its outcome at the end.
+#[derive(Default)]
+struct History {
+    /// Re-dispatch attempts, the retry-budget counter.
+    retries: u32,
+    /// Prompt tokens whose KV died with a crash or a drain.
+    reprefill_tokens: u64,
+    /// Relegated on some replica it was orphaned from.
+    relegated: bool,
+    /// Orphans of a drain that were placed again.
+    drain_migrations: u32,
+}
+
+/// Counters, outcomes and per-request histories shared by the crash and
+/// drain handoff paths.
 struct RecoveryBook {
     stats: FaultRunStats,
     outcomes: Vec<RequestOutcome>,
-    retries: BTreeMap<RequestId, u32>,
-    reprefill: BTreeMap<RequestId, u64>,
-    relegated_ids: BTreeSet<RequestId>,
-    rotation: u64,
+    history: BTreeMap<RequestId, History>,
 }
 
 /// Runs `trace` on a shared deployment that starts with `replicas`
@@ -436,7 +426,7 @@ fn run_elastic_inner(
                 .into_iter()
                 .flatten()
                 .min();
-            advance_to_barrier(&mut k.slots, &mut k.breakers, barrier);
+            advance_to_barrier(&mut k.slots, barrier);
             resync = false;
         }
         // The min-now lockstep pick: the runnable engine furthest behind
@@ -486,7 +476,7 @@ fn run_elastic_inner(
             };
             let slot = &mut k.slots[idx];
             if slot.engine.step() {
-                if let Some(b) = k.breakers.get_mut(idx) {
+                if let Some(b) = slot.breaker.as_mut() {
                     // Health reads are pure: observing never perturbs the
                     // engine's own timeline.
                     b.observe(&slot.engine.health(), slot.engine.now());
@@ -521,11 +511,8 @@ struct Kernel<'a> {
     tracer: &'a Tracer,
     schedule: FaultSchedule,
     schedule_horizon: SimTime,
-    up_index: UpSetIndex,
+    dispatch: Dispatcher,
     slots: Vec<Slot>,
-    /// One breaker per slot when the plan enables them; empty otherwise
-    /// (dispatch then degenerates to plain round-robin).
-    breakers: Vec<CircuitBreaker>,
     fleet: FleetState,
     book: RecoveryBook,
     /// Scheduled scale events sorted by time (ties keep schedule order);
@@ -583,20 +570,6 @@ impl<'a> Kernel<'a> {
             schedule_horizon,
             &seeds.child("faults"),
         );
-        let breakers = plan
-            .breaker
-            .map(|cfg| {
-                (0..max_replicas)
-                    .map(|r| {
-                        let mut b = CircuitBreaker::new(cfg);
-                        if tracer.enabled() {
-                            b.set_tracer(tracer.for_replica(r));
-                        }
-                        b
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
         let fleet = FleetState {
             phases: (0..max_replicas)
                 .map(|r| {
@@ -613,10 +586,8 @@ impl<'a> Kernel<'a> {
             outstanding: vec![[0, 0]; nums::u32_to_usize(max_replicas)],
             held: BTreeMap::new(),
             dynamic: false,
-            router: FleetRouter::new(config.router),
             fleet_log: vec![(SimTime::ZERO, initial)],
             replica_us: 0,
-            drain_migrations: BTreeMap::new(),
         };
         let mut scheduled = elastic.schedule.clone();
         scheduled.sort_by_key(|e| e.at);
@@ -633,19 +604,15 @@ impl<'a> Kernel<'a> {
             elastic,
             seeds,
             tracer,
-            up_index: UpSetIndex::build(&schedule, max_replicas),
+            dispatch: Dispatcher::new(&schedule, max_replicas, plan.shed_below_up_fraction),
             schedule,
             schedule_horizon,
             slots: Vec::new(),
-            breakers,
             fleet,
             book: RecoveryBook {
                 stats: FaultRunStats::default(),
                 outcomes: Vec::with_capacity(trace.len()),
-                retries: BTreeMap::new(),
-                reprefill: BTreeMap::new(),
-                relegated_ids: BTreeSet::new(),
-                rotation: 0,
+                history: BTreeMap::new(),
             },
             scheduled,
             next_event: 0,
@@ -661,6 +628,13 @@ impl<'a> Kernel<'a> {
                 next_crash: 0,
                 parked: r >= initial,
                 dead: false,
+                breaker: plan.breaker.map(|cfg| {
+                    let mut b = CircuitBreaker::new(cfg);
+                    if tracer.enabled() {
+                        b.set_tracer(tracer.for_replica(r));
+                    }
+                    b
+                }),
             })
             .collect();
         for (spec, target) in trace.requests().iter().zip(targets) {
@@ -688,9 +662,14 @@ impl<'a> Kernel<'a> {
     fn restart(&mut self, r: usize, from: SimTime) {
         self.slots[r].engine = self.engine(nums::usize_to_u32(r), from);
         self.slots[r].parked = true;
-        if let Some(b) = self.breakers.get_mut(r) {
+        if let Some(b) = self.slots[r].breaker.as_mut() {
             b.reset(); // fresh generation, fresh health history
         }
+    }
+
+    /// The serving slots, ascending.
+    fn serving(&self) -> Vec<u32> {
+        serving(&self.fleet.phases, |r| self.slots[r].dead)
     }
 
     /// The next control instant: scheduled event, autoscaler tick,
@@ -875,8 +854,8 @@ impl<'a> Kernel<'a> {
         let orphans = self.evacuate(r);
         let deadline_hit = orphans.iter().any(|o| o.prefill_done > 0);
         self.slots[r].parked = true;
-        // Retire before re-dispatch so the drained replica is
-        // lifecycle-inadmissible for its own orphans.
+        // Retire before re-dispatch so the drained replica is not
+        // serving when its own orphans are placed.
         self.fleet.retire(r, deadline);
         let replica_id = nums::usize_to_u32(r);
         let migrated = self.redispatch(orphans, deadline, replica_id, true);
@@ -902,30 +881,23 @@ impl<'a> Kernel<'a> {
         from_replica: u32,
         drain: bool,
     ) -> u32 {
-        let states = self.fleet.lifecycle_states(&self.slots);
-        let denom = self.fleet.fleet_size().max(1);
+        let serving = self.serving();
+        let fleet_size = self.fleet.fleet_size();
         let plan = self.plan;
         let mut migrated = 0u32;
         for orphan in orphans {
             let id = orphan.spec.id;
-            let attempt = {
-                let a = self.book.retries.entry(id).or_insert(0);
-                *a += 1;
-                *a
-            };
-            if orphan.prefill_done > 0 {
-                *self.book.reprefill.entry(id).or_insert(0) += u64::from(orphan.prefill_done);
-            }
-            if orphan.relegated {
-                self.book.relegated_ids.insert(id);
-            }
-            let was_relegated = self.book.relegated_ids.contains(&id);
+            let history = self.book.history.entry(id).or_default();
+            history.retries += 1;
+            history.reprefill_tokens += u64::from(orphan.prefill_done);
+            history.relegated |= orphan.relegated;
+            let attempt = history.retries;
 
             if attempt > plan.max_retries {
                 self.book.stats.retry_exhausted += 1;
                 self.book.outcomes.push(RequestOutcome::unserved(
                     orphan.spec,
-                    was_relegated,
+                    history.relegated,
                     from_replica,
                     Disposition::RetryExhausted,
                 ));
@@ -934,36 +906,19 @@ impl<'a> Kernel<'a> {
 
             let redispatch_at =
                 (anchor + plan.retry_backoff * u64::from(attempt)).max(orphan.spec.arrival);
-            // Lifecycle filter *before* the fraction: replicas the schedule
-            // thinks are up but the control plane holds idle/warming must
-            // neither receive work nor count as surviving capacity.
-            let up: Vec<u32> = self
-                .up_index
-                .up_at(redispatch_at)
-                .iter()
-                .copied()
-                .filter(|&r| {
-                    states
-                        .get(nums::u32_to_usize(r))
-                        .is_none_or(|s| s.accepts_work())
-                })
-                .collect();
-            let up_fraction = up.len() as f64 / denom as f64;
-            let low_capacity = up_fraction < plan.shed_below_up_fraction
-                && orphan.spec.priority() == Priority::Low;
-            // Breaker-aware selection prefers healthy targets but falls
-            // back to the full up-set — it may delay work, never strand
-            // it. `None` if and only if no replica is up at all.
-            let picked = if low_capacity {
-                None
-            } else {
-                pick_target(&up, &[], &self.breakers, self.book.rotation, redispatch_at)
-            };
-            let Some(picked) = picked else {
+            let slots = &self.slots;
+            let placed = self.dispatch.orphan(
+                &serving,
+                fleet_size,
+                orphan.spec.priority(),
+                redispatch_at,
+                |r| slots[nums::u32_to_usize(r)].breaker.as_ref(),
+            );
+            let Some(placed) = placed else {
                 self.book.stats.shed += 1;
                 self.book.outcomes.push(RequestOutcome::unserved(
                     orphan.spec,
-                    was_relegated,
+                    history.relegated,
                     from_replica,
                     Disposition::Shed,
                 ));
@@ -971,27 +926,26 @@ impl<'a> Kernel<'a> {
             };
 
             self.book.stats.redispatches += 1;
-            if picked.diverted {
+            if placed.diverted {
                 self.book.stats.breaker_diverted += 1;
             }
             if drain {
                 self.book.stats.drain_migrated += 1;
-                *self.fleet.drain_migrations.entry(id).or_insert(0) += 1;
+                history.drain_migrations += 1;
                 migrated += 1;
             }
-            let target = nums::u32_to_usize(picked.replica);
-            self.book.rotation += 1;
             if self.tracer.enabled() {
-                self.tracer.for_replica(picked.replica).emit_at(
+                self.tracer.for_replica(placed.slot).emit_at(
                     redispatch_at,
                     Some(id.0),
                     TraceEvent::OrphanRedispatched {
                         from_replica,
-                        to_replica: picked.replica,
+                        to_replica: placed.slot,
                         attempt,
                     },
                 );
             }
+            let target = nums::u32_to_usize(placed.slot);
             self.fleet.admit(target, &orphan.spec);
             self.slots[target]
                 .engine
@@ -1051,8 +1005,7 @@ impl<'a> Kernel<'a> {
             }
             ScaleAction::Drain => {
                 let candidates: Vec<DrainCandidate> = self
-                    .fleet
-                    .serving(&self.slots)
+                    .serving()
                     .into_iter()
                     .map(|replica| {
                         let [important, low] = self.fleet.outstanding[nums::u32_to_usize(replica)];
@@ -1106,14 +1059,14 @@ impl<'a> Kernel<'a> {
     /// schedule has no further control instant) over the serving set,
     /// earliest first. The requests left behind are not touched.
     fn dispatch_held(&mut self, now: SimTime, window_end: Option<SimTime>) {
-        let serving = self.fleet.serving(&self.slots);
+        let serving = self.serving();
         while let Some(due) = self.fleet.held.first_entry() {
             if window_end.is_some_and(|w| due.key().0 >= w) {
                 break;
             }
             // `None` only when nothing serves: retried at the next
             // control instant.
-            let Some(target) = self.fleet.router.route(&serving) else {
+            let Some(target) = self.dispatch.held(&serving) else {
                 break;
             };
             let spec = due.remove();
@@ -1135,7 +1088,7 @@ impl<'a> Kernel<'a> {
             .map(|&(total, violated)| 1.0 - violated as f64 / total.max(1) as f64)
             .fold(1.0, f64::min);
 
-        let serving_set = self.fleet.serving(&self.slots);
+        let serving_set = self.serving();
         let mut queue_tokens: u64 = serving_set
             .iter()
             .map(|&r| {
@@ -1197,23 +1150,22 @@ impl<'a> Kernel<'a> {
         }
 
         for o in &mut book.outcomes {
-            if let Some(&r) = book.retries.get(&o.spec.id) {
-                o.retries = r;
-            }
-            if let Some(&tokens) = book.reprefill.get(&o.spec.id) {
-                o.reprefill_tokens = tokens;
-                book.stats.reprefill_tokens += tokens;
-            }
-            if book.relegated_ids.contains(&o.spec.id) {
-                o.relegated = true;
-            }
-            if let Some(&m) = self.fleet.drain_migrations.get(&o.spec.id) {
-                o.drain_migrations = m;
+            if let Some(h) = book.history.get(&o.spec.id) {
+                o.retries = h.retries;
+                o.reprefill_tokens = h.reprefill_tokens;
+                o.relegated |= h.relegated;
+                o.drain_migrations = h.drain_migrations;
+                book.stats.reprefill_tokens += h.reprefill_tokens;
             }
         }
         book.outcomes.sort_by_key(|o| o.spec.id);
         debug_assert_eq!(book.outcomes.len(), requests, "no request may be lost");
-        book.stats.breaker_opens = self.breakers.iter().map(|b| b.open_count()).sum();
+        book.stats.breaker_opens = self
+            .slots
+            .iter()
+            .filter_map(|s| s.breaker.as_ref())
+            .map(CircuitBreaker::open_count)
+            .sum();
 
         let end = self
             .slots

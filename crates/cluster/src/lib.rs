@@ -24,14 +24,15 @@
 //!   the minimum-replica capacity planner behind Table 4 and Fig. 15b.
 //! * [`lifecycle`] — the replica lifecycle (Provisioning → Warming → Up →
 //!   Draining → Down): timing constants, graceful-drain victim selection
-//!   mirroring the shed ordering, deterministic scale-churn schedules,
-//!   and an incremental fleet router for changing membership.
+//!   mirroring the shed ordering, and deterministic scale-churn
+//!   schedules.
 //! * [`autoscale`] — the SLO-feedback hysteresis autoscaler on windowed
 //!   per-tier attainment and queue pressure.
 //! * [`elastic`] — the cluster kernel behind every fault-injected or
 //!   elastic run: crash recovery composed with lifecycle and
 //!   autoscaling. With no faults and no scale events it is bit-identical
-//!   to [`run_shared`].
+//!   to [`run_shared`]. One private dispatcher makes every placement
+//!   after the router's pre-assignment.
 
 // Library code returns errors and data (the bins own panics and the
 // console), and integer casts go through `qoserve_sim::nums`.
@@ -55,6 +56,7 @@ pub mod autoscale;
 pub mod breaker;
 pub mod capacity;
 pub mod deployment;
+mod dispatch;
 pub mod elastic;
 pub mod lifecycle;
 pub mod recovery;
@@ -62,7 +64,7 @@ pub mod router;
 pub mod spec;
 
 pub use autoscale::{AutoscaleConfig, AutoscaleController, AutoscaleDecision, ControlObservation};
-pub use breaker::{pick_target, BreakerConfig, BreakerState, CircuitBreaker, PickedTarget};
+pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use capacity::{max_goodput, min_replicas_for, GoodputOptions};
 pub use deployment::{run_shared, run_shared_traced, run_siloed, ClusterConfig, SiloGroup};
 pub use elastic::{
@@ -70,8 +72,8 @@ pub use elastic::{
     ElasticRunResult,
 };
 pub use lifecycle::{
-    drain_victim, generate_scale_schedule, DrainCandidate, ElasticPlan, FleetRouter,
-    LifecycleConfig, ScaleAction, ScaleChurnConfig, ScaleEvent,
+    drain_victim, generate_scale_schedule, DrainCandidate, ElasticPlan, LifecycleConfig,
+    ScaleAction, ScaleChurnConfig, ScaleEvent,
 };
 pub use recovery::{FaultPlan, FaultRunStats};
 pub use router::{Router, RouterError};

@@ -37,11 +37,8 @@
 
 use std::cmp::Reverse;
 
-use qoserve_sim::nums;
 use qoserve_sim::rng::exponential_gap_secs;
 use qoserve_sim::{SeedStream, SimDuration, SimTime};
-
-use crate::router::Router;
 
 /// Timing constants of the replica lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -197,40 +194,6 @@ pub fn drain_victim(candidates: &[DrainCandidate]) -> Option<u32> {
         .map(|c| c.replica)
 }
 
-/// Incremental router over a fleet whose membership changes: the same
-/// policies as [`Router`], but routing one request at a time over the
-/// currently serving set instead of pre-assigning a whole trace.
-#[derive(Debug, Clone)]
-pub struct FleetRouter {
-    policy: Router,
-    cursor: u64,
-}
-
-impl FleetRouter {
-    /// A fresh router.
-    pub fn new(policy: Router) -> Self {
-        FleetRouter { policy, cursor: 0 }
-    }
-
-    /// Routes one request over the serving set; `None` when it is empty.
-    ///
-    /// `serving` must be sorted ascending (the runner maintains it that
-    /// way), so the choice is deterministic.
-    pub fn route(&mut self, serving: &[u32]) -> Option<u32> {
-        if serving.is_empty() {
-            return None;
-        }
-        match self.policy {
-            Router::RoundRobin => {
-                let t =
-                    serving[nums::u64_to_usize(self.cursor % nums::usize_to_u64(serving.len()))];
-                self.cursor += 1;
-                Some(t)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,18 +265,6 @@ mod tests {
         assert_eq!(drain_victim(&[]), None);
     }
 
-    #[test]
-    fn fleet_router_round_robin_cycles_serving_set() {
-        let mut fr = FleetRouter::new(Router::RoundRobin);
-        let serving = vec![1, 4, 6];
-        let targets: Vec<u32> = (0..5).map(|_| fr.route(&serving).unwrap()).collect();
-        assert_eq!(targets, vec![1, 4, 6, 1, 4]);
-        // Membership change mid-stream: the cursor keeps advancing over
-        // the new set.
-        assert_eq!(fr.route(&[4, 6]), Some(6));
-        assert_eq!(fr.route(&[]), None);
-    }
-
     mod properties {
         use super::*;
         use qoserve_sim::{forall, Rng};
@@ -343,24 +294,6 @@ mod tests {
                     .max()
                     .unwrap();
                 assert_eq!(v.outstanding_low, max_low);
-            });
-        }
-
-        /// The router never targets outside the serving set.
-        #[test]
-        fn router_stays_in_serving_set() {
-            forall(128, 2, |rng| {
-                let size = rng.gen_range(1..8);
-                let mut serving = std::collections::BTreeSet::new();
-                while serving.len() < size {
-                    serving.insert(rng.gen_range(0u32..8));
-                }
-                let serving: Vec<u32> = serving.into_iter().collect();
-                let mut fr = FleetRouter::new(Router::RoundRobin);
-                for _ in 0..rng.gen_range(1..32u64) {
-                    let t = fr.route(&serving).expect("non-empty");
-                    assert!(serving.contains(&t));
-                }
             });
         }
     }

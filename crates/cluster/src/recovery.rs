@@ -3,7 +3,8 @@
 //!
 //! The plain deployments in [`deployment`](crate::deployment) fix each
 //! request's replica once, at submission — fine while every replica
-//! lives. Under injected faults ([`FaultSchedule`]) a crash strands
+//! lives. Under injected faults
+//! ([`FaultSchedule`](qoserve_sim::faults::FaultSchedule)) a crash strands
 //! everything in flight or queued on the dead replica, so the kernel
 //! replaces the static one-shot assignment with a recovery loop:
 //!
@@ -16,7 +17,7 @@
 //!    order replayed around it is exactly the lockstep one.
 //! 2. A crash surfaces the dead replica's orphans
 //!    ([`OrphanedJob`](qoserve_engine::OrphanedJob)); each is re-dispatched
-//!    to a surviving replica after a deterministic linear backoff, paying
+//!    to a serving, up replica after a deterministic linear backoff, paying
 //!    its prompt tokens again (re-prefill — the KV died with the replica).
 //! 3. Retries are bounded ([`FaultPlan::max_retries`]); requests that keep
 //!    landing on crashing replicas end as
@@ -29,14 +30,14 @@
 //!    rejoin the rotation.
 //!
 //! Everything is deterministic: the fault timeline is derived from the
-//! seed alone, replica selection is a round-robin cursor over the
-//! schedule's up-set, and backoff is a fixed linear function of the
-//! attempt number. The same seed and configuration replays bit-identically
-//! regardless of `QOSERVE_THREADS`, and an all-zero fault configuration is
+//! seed alone, replica selection is a round-robin cursor, and backoff is
+//! a fixed linear function of the attempt number. The same seed and
+//! configuration replays bit-identically regardless of
+//! `QOSERVE_THREADS`, and an all-zero fault configuration is
 //! bit-identical to [`run_shared`](crate::deployment::run_shared).
 
 use qoserve_engine::ReplicaEngine;
-use qoserve_sim::faults::{CrashEvent, FaultConfig, FaultSchedule};
+use qoserve_sim::faults::{CrashEvent, FaultConfig};
 use qoserve_sim::{par_map, SimDuration, SimTime};
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
@@ -59,8 +60,8 @@ pub struct FaultPlan {
     pub shed_below_up_fraction: f64,
     /// When set, each replica gets a circuit breaker thresholding its
     /// rolling health snapshot, and orphan re-dispatch prefers replicas
-    /// whose breaker allows work (falling back to the full up-set — a
-    /// breaker may delay work, never strand it).
+    /// whose breaker allows work (falling back to every serving, up
+    /// replica — a breaker may delay work, never strand it).
     pub breaker: Option<BreakerConfig>,
 }
 
@@ -148,7 +149,8 @@ pub struct FaultRunStats {
 
 /// One replica slot of the cluster kernel. The engine is replaced by a
 /// fresh generation after a restart; `crashes` is this replica's full
-/// crash timeline with `next_crash` indexing the upcoming one.
+/// crash timeline with `next_crash` indexing the upcoming one. The slot
+/// carries its breaker, so a sharded epoch moves both to one worker.
 pub(crate) struct Slot {
     pub(crate) engine: ReplicaEngine,
     pub(crate) crashes: Vec<CrashEvent>,
@@ -157,44 +159,8 @@ pub(crate) struct Slot {
     pub(crate) parked: bool,
     /// Permanently crashed; never receives work again.
     pub(crate) dead: bool,
-}
-
-/// Piecewise-constant cache of [`FaultSchedule::up_replicas_at`]: the
-/// up-set only changes at crash/restart instants, so re-dispatch stops
-/// rescanning the whole fault timeline per orphan and binary-searches a
-/// precomputed interval table instead.
-pub(crate) struct UpSetIndex {
-    /// Sorted instants where some replica goes down or comes back;
-    /// `sets[i]` holds on `[starts[i], starts[i + 1])`.
-    starts: Vec<SimTime>,
-    sets: Vec<Vec<u32>>,
-}
-
-impl UpSetIndex {
-    pub(crate) fn build(schedule: &FaultSchedule, replicas: u32) -> Self {
-        let mut starts = vec![SimTime::ZERO];
-        for r in 0..replicas {
-            for c in schedule.crashes_for(r) {
-                starts.push(c.at);
-                if let Some(restart) = c.restart_at {
-                    starts.push(restart);
-                }
-            }
-        }
-        starts.sort_unstable();
-        starts.dedup();
-        // Crash and restart both take effect *at* their instant
-        // (left-closed intervals), so evaluating the schedule at each
-        // boundary covers everything up to the next one.
-        let sets = starts.iter().map(|&t| schedule.up_replicas_at(t)).collect();
-        UpSetIndex { starts, sets }
-    }
-
-    /// Exactly `schedule.up_replicas_at(t)`, precomputed.
-    pub(crate) fn up_at(&self, t: SimTime) -> &[u32] {
-        let i = self.starts.partition_point(|&s| s <= t).saturating_sub(1);
-        &self.sets[i]
-    }
+    /// This replica's circuit breaker, when the plan enables them.
+    pub(crate) breaker: Option<CircuitBreaker>,
 }
 
 /// The earliest pending crash instant across runnable slots. `None`
@@ -214,11 +180,7 @@ pub(crate) fn pending_crash_barrier(slots: &[Slot]) -> Option<SimTime> {
 /// keeps the merged state on the lockstep schedule: a step whose entry
 /// clock has reached the barrier may be ordered after the crash
 /// processing in min-now order, so it belongs to the serial phase.
-fn advance_replica(
-    slot: &mut Slot,
-    mut breaker: Option<&mut CircuitBreaker>,
-    barrier: Option<SimTime>,
-) {
+fn advance_replica(slot: &mut Slot, barrier: Option<SimTime>) {
     if slot.dead || slot.parked {
         return;
     }
@@ -229,7 +191,7 @@ fn advance_replica(
             }
         }
         if slot.engine.step() {
-            if let Some(b) = breaker.as_mut() {
+            if let Some(b) = slot.breaker.as_mut() {
                 // Health reads are pure and the breaker is replica-local,
                 // so observing here matches the lockstep order exactly.
                 b.observe(&slot.engine.health(), slot.engine.now());
@@ -247,25 +209,11 @@ fn advance_replica(
 /// the barrier on [`par_map`] workers. Replica-local steps commute
 /// across replicas, so the merged state is bit-identical to stepping
 /// them serially at any `QOSERVE_THREADS`.
-pub(crate) fn advance_to_barrier(
-    slots: &mut Vec<Slot>,
-    breakers: &mut Vec<CircuitBreaker>,
-    barrier: Option<SimTime>,
-) {
-    let pairs: Vec<(Slot, Option<CircuitBreaker>)> = if breakers.is_empty() {
-        slots.drain(..).map(|s| (s, None)).collect()
-    } else {
-        slots.drain(..).zip(breakers.drain(..).map(Some)).collect()
-    };
-    for (slot, breaker) in par_map(pairs, |_, (mut slot, mut breaker)| {
-        advance_replica(&mut slot, breaker.as_mut(), barrier);
-        (slot, breaker)
-    }) {
-        slots.push(slot);
-        if let Some(b) = breaker {
-            breakers.push(b);
-        }
-    }
+pub(crate) fn advance_to_barrier(slots: &mut Vec<Slot>, barrier: Option<SimTime>) {
+    *slots = par_map(std::mem::take(slots), |_, mut slot| {
+        advance_replica(&mut slot, barrier);
+        slot
+    });
 }
 
 #[cfg(test)]

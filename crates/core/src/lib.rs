@@ -75,13 +75,13 @@ pub mod prelude {
     pub use crate::server::{QoServe, QoServeBuilder, Request, RunReport};
 
     pub use qoserve_cluster::{
-        drain_victim, generate_scale_schedule, max_goodput, min_replicas_for, pick_target,
-        run_shared, run_shared_elastic, run_shared_elastic_observed,
-        run_shared_elastic_observed_lockstep, run_shared_traced, run_siloed, AutoscaleConfig,
-        AutoscaleController, AutoscaleDecision, BreakerConfig, BreakerState, CircuitBreaker,
-        ClusterConfig, ControlObservation, DrainCandidate, ElasticPlan, ElasticRunResult,
-        FaultPlan, FaultRunStats, FleetRouter, GoodputOptions, LifecycleConfig, PickedTarget,
-        Router, RouterError, ScaleAction, ScaleChurnConfig, ScaleEvent, SchedulerSpec, SiloGroup,
+        drain_victim, generate_scale_schedule, max_goodput, min_replicas_for, run_shared,
+        run_shared_elastic, run_shared_elastic_observed, run_shared_elastic_observed_lockstep,
+        run_shared_traced, run_siloed, AutoscaleConfig, AutoscaleController, AutoscaleDecision,
+        BreakerConfig, BreakerState, CircuitBreaker, ClusterConfig, ControlObservation,
+        DrainCandidate, ElasticPlan, ElasticRunResult, FaultPlan, FaultRunStats, GoodputOptions,
+        LifecycleConfig, Router, RouterError, ScaleAction, ScaleChurnConfig, ScaleEvent,
+        SchedulerSpec, SiloGroup,
     };
     pub use qoserve_engine::{
         HealthSnapshot, ReplicaConfig, ReplicaEngine, ReplicaState, HEALTH_WINDOW,

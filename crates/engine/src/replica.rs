@@ -24,19 +24,11 @@ use crate::health::{HealthRing, HealthSample, HealthSnapshot};
 use crate::kv::KvCache;
 use crate::noise::ExecutionNoise;
 
-/// Availability of a replica, covering both the recovery story
-/// (`Up → Degraded → Down → Restarting`) and the elastic control plane's
-/// lifecycle (`Provisioning → Warming → Up → Draining → Down`). The
-/// engine itself reports `Up`/`Degraded`/`Down`/`Draining`;
-/// `Restarting`, `Provisioning`, and `Warming` are the cluster layer's
-/// view of replicas that have no live engine generation yet.
+/// Availability of a replica as its engine reports it. The cluster
+/// layer keeps the rest of the replica lifecycle (provisioning, warm-up,
+/// crash downtime) in its own slot phases and fault schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReplicaState {
-    /// Scale-up decided; the instance is being allocated (model weights
-    /// not loaded yet). Accepts no work.
-    Provisioning,
-    /// Model load / cache warm-up in progress. Accepts no work.
-    Warming,
     /// Serving normally.
     Up,
     /// Serving inside a straggler/drift window (latency inflated).
@@ -44,24 +36,8 @@ pub enum ReplicaState {
     /// Graceful drain: admission stopped, running decodes finishing to a
     /// deadline. Accepts no *new* work.
     Draining,
-    /// Crashed (in-flight and queued work must be re-dispatched), or
-    /// scaled down / never provisioned.
+    /// Crashed: in-flight and queued work must be re-dispatched.
     Down,
-    /// Waiting out the post-crash downtime before restarting empty.
-    Restarting,
-}
-
-impl ReplicaState {
-    /// Whether a router/dispatcher may send *new* work to a replica in
-    /// this state. `Restarting` counts: the crash downtime is modelled by
-    /// the fault schedule's up-set, and re-dispatch to a restarting slot
-    /// is exactly how orphans revive it.
-    pub fn accepts_work(&self) -> bool {
-        matches!(
-            self,
-            ReplicaState::Up | ReplicaState::Degraded | ReplicaState::Restarting
-        )
-    }
 }
 
 /// A request stranded by a replica crash, surfaced to the cluster layer
@@ -726,9 +702,7 @@ impl ReplicaEngine {
 
     /// Current availability: `Down` after the crash fires, `Draining`
     /// while a graceful drain is in progress, `Degraded` inside an active
-    /// slowdown window, `Up` otherwise. (`Restarting`, `Provisioning`,
-    /// and `Warming` are reported by the cluster layer, which owns those
-    /// clocks.)
+    /// slowdown window, `Up` otherwise.
     pub fn state(&self) -> ReplicaState {
         if self.crashed {
             ReplicaState::Down
@@ -1159,21 +1133,6 @@ mod tests {
         let outcomes = e.run();
         assert_eq!(outcomes.len(), 1, "the delivered request still finishes");
         assert!(outcomes[0].finished());
-    }
-
-    #[test]
-    fn accepts_work_matches_lifecycle_contract() {
-        for (state, accepts) in [
-            (ReplicaState::Provisioning, false),
-            (ReplicaState::Warming, false),
-            (ReplicaState::Up, true),
-            (ReplicaState::Degraded, true),
-            (ReplicaState::Draining, false),
-            (ReplicaState::Down, false),
-            (ReplicaState::Restarting, true),
-        ] {
-            assert_eq!(state.accepts_work(), accepts, "{state:?}");
-        }
     }
 
     #[test]
