@@ -42,7 +42,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, MutexGuard, PoisonError};
+use std::sync::{Condvar, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
 /// Environment variable overriding the worker-thread count.
@@ -57,13 +57,16 @@ fn parse_threads(raw: &str) -> Option<usize> {
     }
 }
 
-/// Worker count when no override is set: one per available core.
+/// Worker count when no override is set: one per available core, read
+/// once per process (on Linux each read parses the cgroup CPU limits).
 fn default_threads() -> usize {
-    thread::available_parallelism().map_or(1, |n| n.get())
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Number of worker threads parallel helpers use: the `QOSERVE_THREADS`
-/// environment variable if set to a positive integer, otherwise
+/// environment variable if set to a positive integer (read on every
+/// call, so a process may switch it between runs), otherwise
 /// [`std::thread::available_parallelism`].
 ///
 /// Thread count never affects results — only how fast they arrive.
