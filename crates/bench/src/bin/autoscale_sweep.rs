@@ -76,7 +76,6 @@ fn main() {
         up_streak: 2,
         down_streak: 4,
         cooldown: SimDuration::from_secs(45),
-        ..AutoscaleConfig::default()
     };
     let elastic = ElasticPlan {
         lifecycle: LifecycleConfig {

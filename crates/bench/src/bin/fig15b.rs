@@ -60,7 +60,6 @@ fn main() {
     let poly_sched = |tbt_ms: u64| SchedulerSpec::Medha {
         config: MedhaConfig {
             tbt_target: SimDuration::from_millis(tbt_ms),
-            ..MedhaConfig::default()
         },
         predictor: PredictorKind::Analytical,
     };

@@ -90,12 +90,7 @@ fn main() {
             reps,
         );
         let slos = plan_cost(
-            || {
-                SlosServeScheduler::new(
-                    SlosServeConfig::default(),
-                    LatencyPredictor::analytical(&hw),
-                )
-            },
+            || SlosServeScheduler::new(LatencyPredictor::analytical(&hw)),
             n,
             reps,
         );
@@ -128,12 +123,7 @@ fn main() {
         .build(&SeedStream::new(453));
     let config = ClusterConfig::new(hw);
     println!();
-    for spec in [
-        SchedulerSpec::qoserve(),
-        SchedulerSpec::SlosServe {
-            config: SlosServeConfig::default(),
-        },
-    ] {
+    for spec in [SchedulerSpec::qoserve(), SchedulerSpec::SlosServe] {
         let outcomes = run_shared(&trace, 1, &spec, &config, &SeedStream::new(453));
         let report = SloReport::compute(&outcomes, trace.long_prompt_threshold());
         println!(

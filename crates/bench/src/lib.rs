@@ -81,11 +81,6 @@ pub fn overall_p95_latency(outcomes: &[RequestOutcome]) -> Option<f64> {
     overall_latency_percentile(outcomes, 0.95)
 }
 
-/// p99 of the tier-judged latency over all finished requests, seconds.
-pub fn overall_p99_latency(outcomes: &[RequestOutcome]) -> Option<f64> {
-    overall_latency_percentile(outcomes, 0.99)
-}
-
 /// Arbitrary percentile of the tier-judged latency, seconds.
 pub fn overall_latency_percentile(outcomes: &[RequestOutcome], q: f64) -> Option<f64> {
     let secs: Vec<f64> = outcomes

@@ -17,13 +17,14 @@
 //!
 //! # Hysteresis contract
 //!
-//! Scale-up pressure (`attainment < scale_up_below` **or**
-//! `queue > queue_high_tokens`) and scale-down calm
-//! (`attainment > scale_down_above` **and** `queue < queue_low_tokens`)
-//! are *mutually exclusive by construction*: [`AutoscaleConfig::normalized`]
-//! clamps `scale_up_below <= scale_down_above` and
-//! `queue_low_tokens <= queue_high_tokens`, so no single observation can
-//! argue both directions. On top of that, decisions require a streak of
+//! Scale-up pressure (`attainment < 0.97` **or** `queue >
+//! queue_high_tokens`) and scale-down calm (`attainment > 0.995` **and**
+//! `queue < queue_low_tokens`) are *mutually exclusive by construction*:
+//! the attainment thresholds are ordered constants and
+//! [`AutoscaleConfig::normalized`] clamps `queue_low_tokens <=
+//! queue_high_tokens`, so no single observation can argue both
+//! directions. Each action adds or drains one replica. On top of that,
+//! decisions require a streak of
 //! consecutive agreeing observations (`up_streak` / `down_streak`) and
 //! respect a post-action `cooldown`, so a constant load can never make
 //! the controller flap — a property pinned by the seeded property tests
@@ -34,6 +35,12 @@
 //! decisions replay bit-identically inside the deterministic sim.
 
 use qoserve_sim::{SimDuration, SimTime};
+
+/// Scale up when the worst per-tier attainment falls below this.
+pub(crate) const SCALE_UP_BELOW: f64 = 0.97;
+/// Scale down only when the worst per-tier attainment is above this
+/// (at least `SCALE_UP_BELOW`, so pressure and calm never overlap).
+pub(crate) const SCALE_DOWN_ABOVE: f64 = 0.995;
 
 /// Autoscaler thresholds and cadence.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,12 +54,6 @@ pub struct AutoscaleConfig {
     pub min_replicas: u32,
     /// Fleet ceiling: scale-up never provisions beyond this.
     pub max_replicas: u32,
-    /// Scale up when the worst per-tier attainment falls below this.
-    pub scale_up_below: f64,
-    /// Scale down only when the worst per-tier attainment is above this
-    /// (must be `>= scale_up_below`; [`normalized`](Self::normalized)
-    /// enforces it).
-    pub scale_down_above: f64,
     /// Scale up when queued tokens per serving replica exceed this.
     pub queue_high_tokens: u64,
     /// Scale down only when queued tokens per serving replica are below
@@ -66,8 +67,6 @@ pub struct AutoscaleConfig {
     pub down_streak: u32,
     /// Minimum simulated time between consecutive scale actions.
     pub cooldown: SimDuration,
-    /// Replicas added or drained per action.
-    pub step: u32,
 }
 
 impl Default for AutoscaleConfig {
@@ -77,28 +76,21 @@ impl Default for AutoscaleConfig {
             window: SimDuration::from_secs(60),
             min_replicas: 1,
             max_replicas: 8,
-            scale_up_below: 0.97,
-            scale_down_above: 0.995,
             queue_high_tokens: 40_000,
             queue_low_tokens: 8_000,
             up_streak: 2,
             down_streak: 4,
             cooldown: SimDuration::from_secs(60),
-            step: 1,
         }
     }
 }
 
 impl AutoscaleConfig {
     /// Returns a copy with the hysteresis invariants enforced:
-    /// `scale_up_below <= scale_down_above`,
-    /// `queue_low_tokens <= queue_high_tokens`, `min <= max`, and
-    /// streaks/step at least 1. All controller entry points normalize, so
-    /// a hand-built config can never make pressure and calm overlap.
+    /// `queue_low_tokens <= queue_high_tokens`, `min <= max`, and streaks
+    /// at least 1. All controller entry points normalize, so a hand-built
+    /// config can never make pressure and calm overlap.
     pub fn normalized(mut self) -> Self {
-        if self.scale_down_above < self.scale_up_below {
-            self.scale_down_above = self.scale_up_below;
-        }
         if self.queue_low_tokens > self.queue_high_tokens {
             self.queue_low_tokens = self.queue_high_tokens;
         }
@@ -109,7 +101,6 @@ impl AutoscaleConfig {
         self.max_replicas = self.max_replicas.max(self.min_replicas);
         self.up_streak = self.up_streak.max(1);
         self.down_streak = self.down_streak.max(1);
-        self.step = self.step.max(1);
         self
     }
 }
@@ -142,10 +133,10 @@ pub struct ControlObservation {
 pub enum AutoscaleDecision {
     /// No action this tick.
     Hold,
-    /// Provision this many new replicas.
-    Up(u32),
-    /// Gracefully drain this many serving replicas.
-    Down(u32),
+    /// Provision one new replica.
+    Up,
+    /// Gracefully drain one serving replica.
+    Down,
 }
 
 /// The hysteresis controller. Feed it one [`ControlObservation`] per
@@ -182,13 +173,13 @@ impl AutoscaleController {
     /// burst already absorbed by a previous scale-up drains monotonically
     /// and must not trigger a second, idle-bound replica.
     fn pressure(&self, obs: &ControlObservation, queue_growing: bool) -> bool {
-        obs.attainment < self.config.scale_up_below
+        obs.attainment < SCALE_UP_BELOW
             || (obs.queue_tokens_per_replica > self.config.queue_high_tokens && queue_growing)
     }
 
     /// Whether this observation argues capacity is safely excess.
     fn is_calm(&self, obs: &ControlObservation) -> bool {
-        obs.attainment > self.config.scale_down_above
+        obs.attainment > SCALE_DOWN_ABOVE
             && obs.queue_tokens_per_replica < self.config.queue_low_tokens
     }
 
@@ -225,27 +216,19 @@ impl AutoscaleController {
         // pressured window does not trigger a second scale-up while the
         // first is still warming.
         let incoming = obs.serving.saturating_add(obs.warming);
-        if self.pressured >= self.config.up_streak && incoming < self.config.max_replicas {
-            let step = self
-                .config
-                .step
-                .min(self.config.max_replicas.saturating_sub(incoming));
-            self.pressured = 0;
-            self.calm = 0;
-            self.last_action_at = Some(now);
-            return AutoscaleDecision::Up(step);
-        }
-        if self.calm >= self.config.down_streak && obs.serving > self.config.min_replicas {
-            let step = self
-                .config
-                .step
-                .min(obs.serving.saturating_sub(self.config.min_replicas));
-            self.pressured = 0;
-            self.calm = 0;
-            self.last_action_at = Some(now);
-            return AutoscaleDecision::Down(step);
-        }
-        AutoscaleDecision::Hold
+        let decision = if self.pressured >= self.config.up_streak
+            && incoming < self.config.max_replicas
+        {
+            AutoscaleDecision::Up
+        } else if self.calm >= self.config.down_streak && obs.serving > self.config.min_replicas {
+            AutoscaleDecision::Down
+        } else {
+            return AutoscaleDecision::Hold;
+        };
+        self.pressured = 0;
+        self.calm = 0;
+        self.last_action_at = Some(now);
+        decision
     }
 }
 
@@ -283,7 +266,7 @@ mod tests {
         let decisions = ticked(&mut c, 2, bad);
         assert_eq!(
             decisions,
-            vec![AutoscaleDecision::Hold, AutoscaleDecision::Up(1)],
+            vec![AutoscaleDecision::Hold, AutoscaleDecision::Up],
             "second pressured tick fires the scale-up"
         );
     }
@@ -294,7 +277,7 @@ mod tests {
         let queued = obs(1.0, 100_000, 2, 0);
         assert_eq!(
             ticked(&mut c, 2, queued).last(),
-            Some(&AutoscaleDecision::Up(1))
+            Some(&AutoscaleDecision::Up)
         );
     }
 
@@ -304,7 +287,7 @@ mod tests {
         let idle = obs(1.0, 0, 4, 0);
         let decisions = ticked(&mut c, 4, idle);
         assert_eq!(decisions[..3], vec![AutoscaleDecision::Hold; 3]);
-        assert_eq!(decisions[3], AutoscaleDecision::Down(1));
+        assert_eq!(decisions[3], AutoscaleDecision::Down);
     }
 
     #[test]
@@ -341,7 +324,7 @@ mod tests {
         );
         assert_eq!(
             c.tick(SimTime::ZERO + interval * 2, &bad),
-            AutoscaleDecision::Up(1)
+            AutoscaleDecision::Up
         );
         // Still inside the 60s cooldown at t=45/60s: streaks accumulate
         // but no action fires.
@@ -356,7 +339,7 @@ mod tests {
         // Cooldown elapsed and the streak is satisfied again.
         assert_eq!(
             c.tick(SimTime::ZERO + interval * 6, &bad),
-            AutoscaleDecision::Up(1)
+            AutoscaleDecision::Up
         );
     }
 
@@ -401,7 +384,7 @@ mod tests {
                 warming: 0,
             },
         );
-        assert!(matches!(first, AutoscaleDecision::Up(_)));
+        assert_eq!(first, AutoscaleDecision::Up);
         // Strictly shrinking afterwards: always Hold, however high the
         // level still is.
         for _ in 0..20 {
@@ -428,22 +411,18 @@ mod tests {
     #[test]
     fn normalized_clamps_inverted_thresholds() {
         let c = AutoscaleConfig {
-            scale_up_below: 0.99,
-            scale_down_above: 0.90,
             queue_high_tokens: 10,
             queue_low_tokens: 100,
             min_replicas: 5,
             max_replicas: 2,
             up_streak: 0,
             down_streak: 0,
-            step: 0,
             ..AutoscaleConfig::default()
         }
         .normalized();
-        assert!(c.scale_down_above >= c.scale_up_below);
         assert!(c.queue_low_tokens <= c.queue_high_tokens);
         assert!(c.max_replicas >= c.min_replicas);
-        assert!(c.up_streak >= 1 && c.down_streak >= 1 && c.step >= 1);
+        assert!(c.up_streak >= 1 && c.down_streak >= 1);
     }
 
     mod properties {
@@ -461,8 +440,6 @@ mod tests {
                 let serving = rng.gen_range(1u32..16);
                 let warming = rng.gen_range(0u32..4);
                 let config = AutoscaleConfig {
-                    scale_up_below: rng.gen_range(0.5..=1.0),
-                    scale_down_above: rng.gen_range(0.5..=1.0),
                     queue_high_tokens: rng.gen_range(0..100_000),
                     queue_low_tokens: rng.gen_range(0..100_000),
                     max_replicas: 32,
@@ -483,8 +460,8 @@ mod tests {
                 for _ in 0..200 {
                     now += interval;
                     match c.tick(now, &o) {
-                        AutoscaleDecision::Up(_) => saw_up = true,
-                        AutoscaleDecision::Down(_) => saw_down = true,
+                        AutoscaleDecision::Up => saw_up = true,
+                        AutoscaleDecision::Down => saw_down = true,
                         AutoscaleDecision::Hold => {}
                     }
                 }
@@ -504,7 +481,6 @@ mod tests {
                 let config = AutoscaleConfig {
                     min_replicas: rng.gen_range(1..4),
                     max_replicas: rng.gen_range(4..16),
-                    step: rng.gen_range(1..8),
                     up_streak: 1,
                     down_streak: 1,
                     cooldown: SimDuration::ZERO,
@@ -518,8 +494,8 @@ mod tests {
                     serving,
                     warming,
                 };
-                if let AutoscaleDecision::Up(n) = up_c.tick(SimTime::from_secs(15), &pressured) {
-                    assert!(serving + warming + n <= up_c.config().max_replicas);
+                if up_c.tick(SimTime::from_secs(15), &pressured) == AutoscaleDecision::Up {
+                    assert!(serving + warming < up_c.config().max_replicas);
                 }
                 let mut down_c = AutoscaleController::new(config);
                 let idle = ControlObservation {
@@ -529,8 +505,8 @@ mod tests {
                     serving,
                     warming,
                 };
-                if let AutoscaleDecision::Down(n) = down_c.tick(SimTime::from_secs(15), &idle) {
-                    assert!(serving - n >= down_c.config().min_replicas);
+                if down_c.tick(SimTime::from_secs(15), &idle) == AutoscaleDecision::Down {
+                    assert!(serving > down_c.config().min_replicas);
                 }
             });
         }

@@ -9,8 +9,8 @@
 //! a three-state machine:
 //!
 //! * **Closed** — healthy; receives re-dispatched work normally.
-//! * **Open** — score fell below [`BreakerConfig::open_below_score`];
-//!   no new work until [`BreakerConfig::cooldown`] elapses.
+//! * **Open** — score fell below 0.6 (with at least 8 iterations of
+//!   evidence); no new work until a 5 s cooldown elapses.
 //! * **HalfProbe** — cooldown elapsed; the replica may receive work
 //!   again (the probe). A recovered score closes the breaker, a still-bad
 //!   score re-opens it for another cooldown.
@@ -26,33 +26,17 @@ use qoserve_engine::HealthSnapshot;
 use qoserve_sim::{SimDuration, SimTime};
 use qoserve_trace::{BreakerPhase, TraceEvent, Tracer};
 
-/// Breaker thresholds and cadence.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BreakerConfig {
-    /// Open when the health score drops below this.
-    pub open_below_score: f64,
-    /// Close a probing breaker when the score recovers above this
-    /// (hysteresis: strictly greater than `open_below_score`).
-    pub close_above_score: f64,
-    /// Minimum windowed iterations before a snapshot is trusted — a
-    /// freshly (re)started replica is never judged on one bad batch.
-    pub min_window: usize,
-    /// Time an open breaker blocks dispatch before probing again.
-    pub cooldown: SimDuration,
-}
-
-impl Default for BreakerConfig {
-    /// Defaults: open below 0.6 (a ~1.7x sustained straggler), close
-    /// above 0.85, judge after 8 iterations, probe every 5 s.
-    fn default() -> Self {
-        BreakerConfig {
-            open_below_score: 0.6,
-            close_above_score: 0.85,
-            min_window: 8,
-            cooldown: SimDuration::from_secs(5),
-        }
-    }
-}
+/// Open when the health score drops below this (a ~1.7x sustained
+/// straggler).
+pub(crate) const OPEN_BELOW_SCORE: f64 = 0.6;
+/// Close a probing breaker when the score recovers to this (hysteresis:
+/// strictly greater than `OPEN_BELOW_SCORE`).
+pub(crate) const CLOSE_ABOVE_SCORE: f64 = 0.85;
+/// Minimum windowed iterations before a snapshot is trusted — a freshly
+/// (re)started replica is never judged on one bad batch.
+pub(crate) const MIN_WINDOW: usize = 8;
+/// Time an open breaker blocks dispatch before probing again.
+pub(crate) const COOLDOWN: SimDuration = SimDuration::from_secs(5);
 
 /// Breaker position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +52,6 @@ pub enum BreakerState {
 /// One replica's circuit breaker.
 #[derive(Debug, Clone)]
 pub struct CircuitBreaker {
-    config: BreakerConfig,
     state: BreakerState,
     opened_at: SimTime,
     opens: u64,
@@ -86,11 +69,16 @@ fn phase_of(state: BreakerState) -> BreakerPhase {
     }
 }
 
+impl Default for CircuitBreaker {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl CircuitBreaker {
-    /// A closed breaker with the given thresholds.
-    pub fn new(config: BreakerConfig) -> Self {
+    /// A closed breaker.
+    pub fn new() -> Self {
         CircuitBreaker {
-            config,
             state: BreakerState::Closed,
             opened_at: SimTime::ZERO,
             opens: 0,
@@ -134,22 +122,20 @@ impl CircuitBreaker {
     pub fn observe(&mut self, snapshot: &HealthSnapshot, now: SimTime) {
         // An open breaker matures into a probe on its own clock, even if
         // the snapshot arrives late.
-        if self.state == BreakerState::Open && now >= self.opened_at + self.config.cooldown {
+        if self.state == BreakerState::Open && now >= self.opened_at + COOLDOWN {
             self.transition(BreakerState::HalfProbe, now);
         }
-        if snapshot.window < self.config.min_window {
+        if snapshot.window < MIN_WINDOW {
             return; // not enough evidence to judge either way
         }
         let score = snapshot.score();
         match self.state {
-            BreakerState::Closed | BreakerState::HalfProbe
-                if score < self.config.open_below_score =>
-            {
+            BreakerState::Closed | BreakerState::HalfProbe if score < OPEN_BELOW_SCORE => {
                 self.transition(BreakerState::Open, now);
                 self.opened_at = now;
                 self.opens += 1;
             }
-            BreakerState::HalfProbe if score >= self.config.close_above_score => {
+            BreakerState::HalfProbe if score >= CLOSE_ABOVE_SCORE => {
                 self.transition(BreakerState::Closed, now);
             }
             _ => {}
@@ -162,7 +148,7 @@ impl CircuitBreaker {
     pub fn allows(&self, now: SimTime) -> bool {
         match self.state {
             BreakerState::Closed | BreakerState::HalfProbe => true,
-            BreakerState::Open => now >= self.opened_at + self.config.cooldown,
+            BreakerState::Open => now >= self.opened_at + COOLDOWN,
         }
     }
 
@@ -214,7 +200,7 @@ mod tests {
 
     #[test]
     fn healthy_replica_stays_closed() {
-        let mut b = CircuitBreaker::new(BreakerConfig::default());
+        let mut b = CircuitBreaker::new();
         for t in 0..20 {
             b.observe(&snapshot(1.0, HEALTH_WINDOW), secs(t));
         }
@@ -225,7 +211,7 @@ mod tests {
 
     #[test]
     fn straggler_opens_after_min_window() {
-        let mut b = CircuitBreaker::new(BreakerConfig::default());
+        let mut b = CircuitBreaker::new();
         // 3x straggler, but too little evidence: stays closed.
         b.observe(&snapshot(3.0, 4), secs(1));
         assert_eq!(b.state(), BreakerState::Closed);
@@ -238,7 +224,7 @@ mod tests {
 
     #[test]
     fn cooldown_matures_into_probe_then_closes_on_recovery() {
-        let mut b = CircuitBreaker::new(BreakerConfig::default());
+        let mut b = CircuitBreaker::new();
         b.observe(&snapshot(3.0, HEALTH_WINDOW), secs(1));
         assert!(!b.allows(secs(5)));
         // Cooldown (5 s) elapsed: dispatch is allowed as the probe even
@@ -251,7 +237,7 @@ mod tests {
 
     #[test]
     fn failed_probe_reopens_for_another_cooldown() {
-        let mut b = CircuitBreaker::new(BreakerConfig::default());
+        let mut b = CircuitBreaker::new();
         b.observe(&snapshot(3.0, HEALTH_WINDOW), secs(1));
         b.observe(&snapshot(3.0, HEALTH_WINDOW), secs(7)); // probe fails
         assert_eq!(b.state(), BreakerState::Open);
@@ -265,7 +251,7 @@ mod tests {
         // Hysteresis: a probe score between the thresholds neither closes
         // nor re-opens. 12 of 32 windowed samples still degraded at 1.2x
         // scores ~0.76 — above open_below (0.6), below close_above (0.85).
-        let mut b = CircuitBreaker::new(BreakerConfig::default());
+        let mut b = CircuitBreaker::new();
         b.observe(&snapshot(3.0, HEALTH_WINDOW), secs(1));
         b.observe(&partial_snapshot(12, 1.2), secs(7));
         assert_eq!(b.state(), BreakerState::HalfProbe);
@@ -274,7 +260,7 @@ mod tests {
 
     #[test]
     fn reset_closes_and_keeps_the_open_count() {
-        let mut b = CircuitBreaker::new(BreakerConfig::default());
+        let mut b = CircuitBreaker::new();
         b.observe(&snapshot(3.0, HEALTH_WINDOW), secs(1));
         b.reset();
         assert_eq!(b.state(), BreakerState::Closed);

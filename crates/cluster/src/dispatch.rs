@@ -8,22 +8,25 @@
 //!   round-robin over the serving slots.
 //! * **Orphans** go round-robin over the slots that are both serving and
 //!   up in the fault schedule at their re-dispatch instant. When too
-//!   little of the provisioned fleet is left, a low-priority orphan is
-//!   shed instead — the tier-aware shed of §3.3. Otherwise the circuit
+//!   little is left of the slots the fleet holds or has lost to crashes,
+//!   a low-priority orphan is shed instead — the tier-aware shed of §3.3,
+//!   which measures capacity loss, so a slot lost for good still counts
+//!   against it. Otherwise the circuit
 //!   breakers filter the candidates *softly*: the pick prefers slots whose
 //!   breaker allows work and falls back to every candidate when none does,
 //!   so a breaker may delay work, never strand it.
 //!
 //! Held requests and orphans keep separate cursors: each stream rotates
 //! over its own targets, as the round-robin balancer of §4.1.1 does.
-//! Serving means a live slot in the serving phase, so provisioning,
-//! warming, draining, idle and permanently dead slots take no work.
+//! Serving means a slot in the serving phase, so provisioning, warming,
+//! draining, idle and lost slots take no work.
 
 use qoserve_sim::faults::FaultSchedule;
 use qoserve_sim::{nums, SimTime};
 use qoserve_workload::Priority;
 
 use crate::breaker::CircuitBreaker;
+use crate::recovery::SHED_BELOW_UP_FRACTION;
 
 /// Piecewise-constant cache of [`FaultSchedule::up_replicas_at`]: the
 /// up-set only changes at crash/restart instants, so re-dispatch stops
@@ -76,19 +79,15 @@ pub(crate) struct Placement {
 /// The one owner of placement after the static pre-assignment.
 pub(crate) struct Dispatcher {
     up: UpSetIndex,
-    /// Low-priority orphans are shed while fewer than this fraction of
-    /// the provisioned fleet can take them.
-    shed_below_up_fraction: f64,
     held_cursor: u64,
     orphan_cursor: u64,
 }
 
 impl Dispatcher {
     /// A dispatcher over `slots` slots whose outages `schedule` fixes.
-    pub(crate) fn new(schedule: &FaultSchedule, slots: u32, shed_below_up_fraction: f64) -> Self {
+    pub(crate) fn new(schedule: &FaultSchedule, slots: u32) -> Self {
         Dispatcher {
             up: UpSetIndex::build(schedule, slots),
-            shed_below_up_fraction,
             held_cursor: 0,
             orphan_cursor: 0,
         }
@@ -109,12 +108,13 @@ impl Dispatcher {
     /// Places an orphan of `priority` re-dispatched at `at`, or `None`
     /// to shed it: no candidate (a serving slot that is up at `at`)
     /// exists, or it is low priority and the candidates are fewer than
-    /// the shed fraction of the `fleet_size` provisioned slots.
+    /// `SHED_BELOW_UP_FRACTION` of the `held_or_lost` slots (every slot
+    /// the fleet holds, plus those lost to a crash with no restart).
     /// `breaker` reads a slot's circuit breaker, if it has one.
     pub(crate) fn orphan<'b>(
         &mut self,
         serving: &[u32],
-        fleet_size: u32,
+        held_or_lost: u32,
         priority: Priority,
         at: SimTime,
         breaker: impl Fn(u32) -> Option<&'b CircuitBreaker>,
@@ -129,8 +129,8 @@ impl Dispatcher {
         // but the control plane holds idle or warming neither takes work
         // nor counts as surviving capacity.
         let total = candidates().count();
-        let up_fraction = total as f64 / f64::from(fleet_size.max(1));
-        if total == 0 || (up_fraction < self.shed_below_up_fraction && priority == Priority::Low) {
+        let up_fraction = total as f64 / f64::from(held_or_lost.max(1));
+        if total == 0 || (up_fraction < SHED_BELOW_UP_FRACTION && priority == Priority::Low) {
             return None;
         }
         let allows = |r: u32| breaker(r).is_none_or(|b| b.allows(at));
@@ -147,7 +147,6 @@ impl Dispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::breaker::BreakerConfig;
     use crate::elastic::{serving, Phase};
     use qoserve_engine::{HealthRing, HealthSample, HealthSnapshot, ReplicaState, HEALTH_WINDOW};
     use qoserve_sim::faults::FaultConfig;
@@ -180,13 +179,11 @@ mod tests {
             }
         }
 
-        pub(super) fn states(phases: &[Phase], dead: &[bool]) -> Vec<State> {
+        pub(super) fn states(phases: &[Phase]) -> Vec<State> {
             phases
                 .iter()
-                .zip(dead)
-                .map(|(p, &d)| match p {
-                    _ if d => State::Down,
-                    Phase::Idle => State::Down,
+                .map(|p| match p {
+                    Phase::Idle | Phase::Lost => State::Down,
                     Phase::Provisioning { .. } => State::Provisioning,
                     Phase::Warming { .. } => State::Warming,
                     Phase::Serving => State::Up,
@@ -230,15 +227,10 @@ mod tests {
         }
 
         /// One orphan of the kernel's re-dispatch loop.
-        #[expect(
-            clippy::too_many_arguments,
-            reason = "the reference keeps the inputs the kernel's loop read"
-        )]
         pub(super) fn orphan(
             schedule: &FaultSchedule,
             states: &[State],
             fleet_size: u32,
-            shed_below_up_fraction: f64,
             priority: Priority,
             breakers: &[Option<CircuitBreaker>],
             rotation: &mut u64,
@@ -250,7 +242,7 @@ mod tests {
                 .filter(|&r| states.get(r as usize).is_none_or(|s| s.admits()))
                 .collect();
             let up_fraction = up.len() as f64 / fleet_size.max(1) as f64;
-            let low_capacity = up_fraction < shed_below_up_fraction && priority == Priority::Low;
+            let low_capacity = up_fraction < SHED_BELOW_UP_FRACTION && priority == Priority::Low;
             let picked = if low_capacity {
                 None
             } else {
@@ -291,7 +283,7 @@ mod tests {
 
     fn random_phase(rng: &mut impl Rng) -> Phase {
         let t = secs(rng.gen_range(0..60));
-        match rng.gen_range(0..8) {
+        match rng.gen_range(0..9) {
             0 => Phase::Idle,
             1 => Phase::Provisioning {
                 warm_at: t,
@@ -303,15 +295,16 @@ mod tests {
                 decided_at: t,
             },
             3 => Phase::Draining { deadline: t },
+            4 => Phase::Lost,
             _ => Phase::Serving,
         }
     }
 
     /// Every held pick, orphan pick, shed and `diverted` flag equals the
-    /// reference's over random fleets: slot phases and dead flags, crash
-    /// schedules with and without restarts, breakers absent, closed, or
-    /// open within or past their cooldown, random priorities and shed
-    /// fractions, and interleaved held and orphan picks. Work is never
+    /// reference's over random fleets: slot phases (lost slots included),
+    /// crash schedules with and without restarts, breakers absent, closed,
+    /// or open within or past their cooldown, random priorities, and
+    /// interleaved held and orphan picks. Work is never
     /// stranded, every pick is serving (and up, for orphans), and a pick
     /// is diverted only when a breaker-allowed subset exists.
     #[test]
@@ -319,8 +312,7 @@ mod tests {
         forall(512, 22, |rng| {
             let n = rng.gen_range(1..=8u32);
             let phases: Vec<Phase> = (0..n).map(|_| random_phase(rng)).collect();
-            let dead: Vec<bool> = (0..n).map(|_| rng.gen_range(0..6) == 0).collect();
-            let fleet_size = phases.iter().filter(|p| **p != Phase::Idle).count() as u32;
+            let held_or_lost = phases.iter().filter(|p| **p != Phase::Idle).count() as u32;
             let faults = FaultConfig {
                 crash_rate_per_hour: [0.0, 60.0, 600.0][rng.gen_range(0..3)],
                 restart_downtime: rng
@@ -335,32 +327,21 @@ mod tests {
                 secs(60),
                 &SeedStream::new(rng.gen_range(0..1_000)),
             );
-            let config = BreakerConfig {
-                cooldown: SimDuration::from_secs(rng.gen_range(1..40)),
-                ..BreakerConfig::default()
-            };
             let breakers: Vec<Option<CircuitBreaker>> = (0..n)
                 .map(|_| match rng.gen_range(0..4) {
                     0 => None,
-                    1 => Some(CircuitBreaker::new(config)),
+                    1 => Some(CircuitBreaker::new()),
                     _ => {
-                        let mut b = CircuitBreaker::new(config);
+                        let mut b = CircuitBreaker::new();
                         b.observe(&straggling(), secs(rng.gen_range(0..60)));
                         Some(b)
                     }
                 })
                 .collect();
-            // Exact fractions of the fleet too, so the shed's boundary is hit.
-            let shed_below = if rng.gen_bool(0.5) {
-                rng.gen_range(0.0..1.0)
-            } else {
-                f64::from(rng.gen_range(0..=n)) / f64::from(fleet_size.max(1))
-            };
-
-            let serving = serving(&phases, |r| dead[r]);
-            let states = reference::states(&phases, &dead);
+            let serving = serving(&phases);
+            let states = reference::states(&phases);
             assert_eq!(serving, reference::admitted(&states));
-            let mut dispatcher = Dispatcher::new(&schedule, n, shed_below);
+            let mut dispatcher = Dispatcher::new(&schedule, n);
             let (mut held_cursor, mut rotation) = (0, 0);
             for _ in 0..rng.gen_range(1..40) {
                 if rng.gen_range(0..3) == 0 {
@@ -375,14 +356,13 @@ mod tests {
                 } else {
                     Priority::Important
                 };
-                let placed = dispatcher.orphan(&serving, fleet_size, priority, at, |r| {
+                let placed = dispatcher.orphan(&serving, held_or_lost, priority, at, |r| {
                     breakers[r as usize].as_ref()
                 });
                 let expected = reference::orphan(
                     &schedule,
                     &states,
-                    fleet_size,
-                    shed_below,
+                    held_or_lost,
                     priority,
                     &breakers,
                     &mut rotation,
@@ -402,7 +382,7 @@ mod tests {
                 if let Some(p) = placed {
                     assert!(candidates.contains(&p.slot), "{p:?} not serving and up");
                     let slot = p.slot as usize;
-                    assert!(phases[slot] == Phase::Serving && !dead[slot]);
+                    assert_eq!(phases[slot], Phase::Serving);
                     if p.diverted {
                         assert!(allows(p.slot));
                         assert!(candidates.iter().any(|&r| !allows(r)));

@@ -70,7 +70,9 @@ use crate::breaker::CircuitBreaker;
 use crate::deployment::{build_engine, ClusterConfig};
 use crate::dispatch::Dispatcher;
 use crate::lifecycle::{drain_victim, DrainCandidate, ElasticPlan, ScaleAction, ScaleEvent};
-use crate::recovery::{advance_to_barrier, pending_crash_barrier, FaultPlan, FaultRunStats, Slot};
+use crate::recovery::{
+    advance_to_barrier, pending_crash_barrier, FaultPlan, FaultRunStats, Slot, RETRY_BACKOFF,
+};
 use crate::router::RouterError;
 use crate::spec::SchedulerSpec;
 
@@ -85,7 +87,9 @@ pub struct ElasticRunResult {
     /// to retirement), the cost side of the elasticity trade.
     pub replica_us: u64,
     /// Provisioned-fleet-size changes as `(time, size)` steps, starting
-    /// with the initial fleet at time zero.
+    /// with the initial fleet at time zero. A slot counts from the
+    /// decision that provisions it until it retires or crashes with no
+    /// restart.
     pub fleet: Vec<(SimTime, u32)>,
 }
 
@@ -109,6 +113,9 @@ pub(crate) enum Phase {
     Serving,
     /// Admission stopped; running work finishes until `deadline`.
     Draining { deadline: SimTime },
+    /// Crashed with no restart: holds no capacity, takes no work, and an
+    /// Add never reuses it.
+    Lost,
 }
 
 /// Mutable lifecycle state of the fleet, separate from the engine slots.
@@ -155,14 +162,20 @@ impl FleetState {
         }
     }
 
-    /// Provisioned fleet size: every non-idle slot, draining included.
+    /// Provisioned fleet size: every slot holding capacity, draining
+    /// included.
     fn fleet_size(&self) -> u32 {
-        nums::usize_to_u32(
-            self.phases
-                .iter()
-                .filter(|p| !matches!(p, Phase::Idle))
-                .count(),
-        )
+        self.count(|p| !matches!(p, Phase::Idle | Phase::Lost))
+    }
+
+    /// The shed's denominator: the provisioned fleet plus the slots lost
+    /// to a crash, so that a permanent loss reads as lost capacity.
+    fn held_or_lost(&self) -> u32 {
+        self.count(|p| !matches!(p, Phase::Idle))
+    }
+
+    fn count(&self, pred: impl Fn(&Phase) -> bool) -> u32 {
+        nums::usize_to_u32(self.phases.iter().filter(|p| pred(p)).count())
     }
 
     fn log_fleet(&mut self, at: SimTime) {
@@ -186,14 +199,14 @@ impl FleetState {
     }
 }
 
-/// Live slots in [`Phase::Serving`], ascending: where held requests and
+/// Slots in [`Phase::Serving`], ascending: where held requests and
 /// orphans go, the drain-victim candidates and the autoscaler's serving
-/// count. `dead` reads whether a slot crashed for good.
-pub(crate) fn serving(phases: &[Phase], dead: impl Fn(usize) -> bool) -> Vec<u32> {
+/// count.
+pub(crate) fn serving(phases: &[Phase]) -> Vec<u32> {
     phases
         .iter()
         .enumerate()
-        .filter(|&(r, p)| matches!(p, Phase::Serving) && !dead(r))
+        .filter(|(_, p)| matches!(p, Phase::Serving))
         .map(|(r, _)| nums::usize_to_u32(r))
         .collect()
 }
@@ -436,7 +449,7 @@ fn run_elastic_inner(
             .slots
             .iter()
             .enumerate()
-            .filter(|(_, s)| !s.dead && !s.parked)
+            .filter(|(_, s)| !s.parked)
             .min_by_key(|(_, s)| s.engine.now())
             .map(|(i, _)| i);
         let min_runnable = pick.map(|i| k.slots[i].engine.now());
@@ -604,7 +617,7 @@ impl<'a> Kernel<'a> {
             elastic,
             seeds,
             tracer,
-            dispatch: Dispatcher::new(&schedule, max_replicas, plan.shed_below_up_fraction),
+            dispatch: Dispatcher::new(&schedule, max_replicas),
             schedule,
             schedule_horizon,
             slots: Vec::new(),
@@ -627,9 +640,8 @@ impl<'a> Kernel<'a> {
                 crashes: k.schedule.crashes_for(r),
                 next_crash: 0,
                 parked: r >= initial,
-                dead: false,
-                breaker: plan.breaker.map(|cfg| {
-                    let mut b = CircuitBreaker::new(cfg);
+                breaker: plan.breaker.then(|| {
+                    let mut b = CircuitBreaker::new();
                     if tracer.enabled() {
                         b.set_tracer(tracer.for_replica(r));
                     }
@@ -669,7 +681,7 @@ impl<'a> Kernel<'a> {
 
     /// The serving slots, ascending.
     fn serving(&self) -> Vec<u32> {
-        serving(&self.fleet.phases, |r| self.slots[r].dead)
+        serving(&self.fleet.phases)
     }
 
     /// The next control instant: scheduled event, autoscaler tick,
@@ -679,7 +691,7 @@ impl<'a> Kernel<'a> {
             Phase::Provisioning { warm_at, .. } => Some(warm_at),
             Phase::Warming { up_at, .. } => Some(up_at),
             Phase::Draining { deadline } => Some(deadline),
-            Phase::Idle | Phase::Serving => None,
+            Phase::Idle | Phase::Serving | Phase::Lost => None,
         });
         let event = self.scheduled.get(self.next_event).map(|e| e.at);
         [event, self.next_tick]
@@ -698,7 +710,7 @@ impl<'a> Kernel<'a> {
                 .fleet
                 .phases
                 .iter()
-                .all(|p| matches!(p, Phase::Idle | Phase::Serving))
+                .all(|p| matches!(p, Phase::Idle | Phase::Serving | Phase::Lost))
     }
 
     /// Processes the control instant `t`, every runnable clock being at
@@ -708,7 +720,7 @@ impl<'a> Kernel<'a> {
         // (1) Collect freshly completed outcomes so attainment and
         // outstanding counts are current.
         for r in 0..self.slots.len() {
-            if !self.slots[r].dead {
+            if self.fleet.phases[r] != Phase::Lost {
                 self.collect_outcomes(r);
             }
         }
@@ -727,7 +739,6 @@ impl<'a> Kernel<'a> {
                     self.restart(r, up_at);
                     let slot = &mut self.slots[r];
                     slot.next_crash = slot.crashes.partition_point(|c| c.at < up_at);
-                    slot.dead = false;
                     self.fleet.phases[r] = Phase::Serving;
                     let warmup_us = up_at.duration_since(decided_at).as_micros();
                     self.book.stats.warmup_wasted_us += warmup_us;
@@ -765,12 +776,12 @@ impl<'a> Kernel<'a> {
         if let Some(tick_at) = self.next_tick.filter(|&tick| tick <= t) {
             if let Some(mut c) = self.controller.take() {
                 let obs = self.observe(tick_at, &c);
-                let (action, n) = match c.tick(tick_at, &obs) {
-                    AutoscaleDecision::Hold => (ScaleAction::Add, 0),
-                    AutoscaleDecision::Up(n) => (ScaleAction::Add, n),
-                    AutoscaleDecision::Down(n) => (ScaleAction::Drain, n),
+                let action = match c.tick(tick_at, &obs) {
+                    AutoscaleDecision::Hold => None,
+                    AutoscaleDecision::Up => Some(ScaleAction::Add),
+                    AutoscaleDecision::Down => Some(ScaleAction::Drain),
                 };
-                for _ in 0..n {
+                if let Some(action) = action {
                     self.apply(tick_at, action, c.config().min_replicas);
                 }
                 self.next_tick = Some(tick_at + c.config().control_interval)
@@ -809,8 +820,8 @@ impl<'a> Kernel<'a> {
         orphans
     }
 
-    /// The crash that halted slot `idx`: the slot restarts, dies, or (if
-    /// draining) retires early, and its orphans are re-dispatched.
+    /// The crash that halted slot `idx`: the slot restarts, is lost, or
+    /// (if draining) retires early, and its orphans are re-dispatched.
     fn handle_crash(&mut self, idx: usize) {
         self.book.stats.crashes += 1;
         let slot = &mut self.slots[idx];
@@ -842,8 +853,14 @@ impl<'a> Kernel<'a> {
             self.book.stats.restarts += 1;
             self.restart(idx, restart_at);
         } else {
-            self.slots[idx].dead = true;
+            // Lost for good. A parked slot meets its crash only once work
+            // revives it, possibly after later control instants, so its
+            // replica-time stops at the crash but the fleet log records
+            // the loss at the latest instant processed.
+            self.slots[idx].parked = true;
+            self.fleet.phases[idx] = Phase::Lost;
             self.fleet.deprovision(idx, crash_at);
+            self.fleet.log_fleet(self.last_time);
         }
         self.redispatch(orphans, crash_at, replica_id, false);
     }
@@ -882,7 +899,7 @@ impl<'a> Kernel<'a> {
         drain: bool,
     ) -> u32 {
         let serving = self.serving();
-        let fleet_size = self.fleet.fleet_size();
+        let held_or_lost = self.fleet.held_or_lost();
         let plan = self.plan;
         let mut migrated = 0u32;
         for orphan in orphans {
@@ -905,11 +922,11 @@ impl<'a> Kernel<'a> {
             }
 
             let redispatch_at =
-                (anchor + plan.retry_backoff * u64::from(attempt)).max(orphan.spec.arrival);
+                (anchor + RETRY_BACKOFF * u64::from(attempt)).max(orphan.spec.arrival);
             let slots = &self.slots;
             let placed = self.dispatch.orphan(
                 &serving,
-                fleet_size,
+                held_or_lost,
                 orphan.spec.priority(),
                 redispatch_at,
                 |r| slots[nums::u32_to_usize(r)].breaker.as_ref(),
@@ -964,7 +981,7 @@ impl<'a> Kernel<'a> {
         if !self.fleet.dynamic {
             self.fleet.dynamic = true;
             for r in 0..self.slots.len() {
-                if !self.slots[r].dead {
+                if self.fleet.phases[r] != Phase::Lost {
                     let unarrived = self.slots[r].engine.take_unarrived();
                     self.fleet.recall(r, unarrived);
                 }
@@ -972,13 +989,7 @@ impl<'a> Kernel<'a> {
         }
         match action {
             ScaleAction::Add => {
-                let Some(r) = self
-                    .fleet
-                    .phases
-                    .iter()
-                    .zip(&self.slots)
-                    .position(|(p, s)| matches!(p, Phase::Idle) && !s.dead)
-                else {
+                let Some(r) = self.fleet.phases.iter().position(|p| *p == Phase::Idle) else {
                     return; // no free slot: the ceiling is the ceiling
                 };
                 let before = self.fleet.fleet_size();
@@ -1218,6 +1229,63 @@ mod tests {
             warmup: SimDuration::from_secs(3),
             drain_grace: SimDuration::from_secs(5),
         }
+    }
+
+    /// Held dispatch every 20 s can revive a parked slot after its
+    /// permanent crash instant, and the kernel sees that crash only then.
+    /// The fleet log must still step forward in time: the loss is logged
+    /// when it is seen. Sharded and lockstep agree on that path too.
+    #[test]
+    fn late_seen_losses_keep_the_fleet_log_sorted() {
+        let faults = FaultConfig {
+            crash_rate_per_hour: 120.0,
+            restart_downtime: None,
+            max_crashes_per_replica: 1,
+            ..FaultConfig::none()
+        };
+        let plan = FaultPlan::with_faults(faults);
+        // No-op Adds at a full ceiling: dynamic dispatch, 20 s windows.
+        let elastic = ElasticPlan {
+            max_replicas: 3,
+            schedule: (0..8)
+                .map(|i| ScaleEvent {
+                    at: SimTime::from_secs(1 + 20 * i),
+                    action: ScaleAction::Add,
+                })
+                .collect(),
+            ..ElasticPlan::none()
+        };
+        let mut lost = 0;
+        for seed in 0..24 {
+            let t = TraceBuilder::new(Dataset::azure_conv())
+                .arrivals(ArrivalProcess::poisson(0.5))
+                .num_requests(60)
+                .paper_tier_mix()
+                .build(&SeedStream::new(seed));
+            let spec = SchedulerSpec::qoserve();
+            let seeds = SeedStream::new(seed);
+            let r = run_shared_elastic(&t, 3, &spec, &config(), &plan, &elastic, &seeds).unwrap();
+            let lockstep = run_shared_elastic_observed_lockstep(
+                &t,
+                3,
+                &spec,
+                &config(),
+                &plan,
+                &elastic,
+                &seeds,
+                &Tracer::disabled(),
+                None,
+            )
+            .unwrap();
+            assert_eq!(r, lockstep, "seed {seed}: kernels must agree");
+            assert!(
+                r.fleet.windows(2).all(|w| w[0].0 <= w[1].0),
+                "seed {seed}: fleet log out of order: {:?}",
+                r.fleet
+            );
+            lost += r.stats.crashes;
+        }
+        assert!(lost > 0, "the runs must lose slots");
     }
 
     #[test]

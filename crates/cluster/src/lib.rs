@@ -64,7 +64,7 @@ pub mod router;
 pub mod spec;
 
 pub use autoscale::{AutoscaleConfig, AutoscaleController, AutoscaleDecision, ControlObservation};
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+pub use breaker::{BreakerState, CircuitBreaker};
 pub use capacity::{max_goodput, min_replicas_for, GoodputOptions};
 pub use deployment::{run_shared, run_shared_traced, run_siloed, ClusterConfig, SiloGroup};
 pub use elastic::{

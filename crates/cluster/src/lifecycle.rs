@@ -147,7 +147,10 @@ pub struct ElasticPlan {
     /// Lifecycle timing constants.
     pub lifecycle: LifecycleConfig,
     /// Slot ceiling: the fleet may grow to this many replicas. Raised to
-    /// the initial fleet size when smaller.
+    /// the initial fleet size when smaller. An Add takes only a slot that
+    /// never served or was retired by a drain: a slot lost to a crash with
+    /// no restart is never reused, so each permanent loss lowers the
+    /// ceiling for the rest of the run.
     pub max_replicas: u32,
     /// Externally scheduled membership changes, in any order (the runner
     /// sorts them).

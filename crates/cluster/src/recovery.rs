@@ -17,12 +17,14 @@
 //!    order replayed around it is exactly the lockstep one.
 //! 2. A crash surfaces the dead replica's orphans
 //!    ([`OrphanedJob`](qoserve_engine::OrphanedJob)); each is re-dispatched
-//!    to a serving, up replica after a deterministic linear backoff, paying
-//!    its prompt tokens again (re-prefill — the KV died with the replica).
+//!    to a serving, up replica after a deterministic linear backoff
+//!    (500 ms per attempt), paying its prompt tokens again
+//!    (re-prefill — the KV died with the replica).
 //! 3. Retries are bounded ([`FaultPlan::max_retries`]); requests that keep
 //!    landing on crashing replicas end as
 //!    [`Disposition::RetryExhausted`](qoserve_metrics::Disposition::RetryExhausted).
-//! 4. When too few replicas survive, low-priority requests are shed
+//! 4. When fewer than 34 % of the slots survive,
+//!    low-priority requests are shed
 //!    ([`Disposition::Shed`](qoserve_metrics::Disposition::Shed)) instead
 //!    of dragging every tier down — the fault-path analogue of the
 //!    paper's graceful-degradation argument (§3.3).
@@ -40,7 +42,17 @@ use qoserve_engine::ReplicaEngine;
 use qoserve_sim::faults::{CrashEvent, FaultConfig};
 use qoserve_sim::{par_map, SimDuration, SimTime};
 
-use crate::breaker::{BreakerConfig, CircuitBreaker};
+use crate::breaker::CircuitBreaker;
+
+/// Linear backoff unit: attempt `n` is re-dispatched `n * RETRY_BACKOFF`
+/// after the crash or drain deadline.
+pub(crate) const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(500);
+
+/// When fewer than this fraction of the slots the fleet holds or lost to
+/// a crash are up and serving at re-dispatch time,
+/// [`Priority::Low`](qoserve_workload::Priority::Low) orphans are shed
+/// instead of retried.
+pub(crate) const SHED_BELOW_UP_FRACTION: f64 = 0.34;
 
 /// Fault-injection and recovery policy for one cluster run.
 #[derive(Debug, Clone)]
@@ -51,27 +63,17 @@ pub struct FaultPlan {
     /// Re-dispatch attempts per request before giving up
     /// ([`Disposition::RetryExhausted`](qoserve_metrics::Disposition::RetryExhausted)).
     pub max_retries: u32,
-    /// Linear backoff unit: attempt `n` is re-dispatched
-    /// `n * retry_backoff` after the crash.
-    pub retry_backoff: SimDuration,
-    /// When fewer than this fraction of replicas are up at re-dispatch
-    /// time, [`Priority::Low`](qoserve_workload::Priority::Low) orphans are
-    /// shed instead of retried.
-    pub shed_below_up_fraction: f64,
     /// When set, each replica gets a circuit breaker thresholding its
     /// rolling health snapshot, and orphan re-dispatch prefers replicas
     /// whose breaker allows work (falling back to every serving, up
     /// replica — a breaker may delay work, never strand it).
-    pub breaker: Option<BreakerConfig>,
+    pub breaker: bool,
 }
 
 impl FaultPlan {
     /// No faults; the recovery path is exercised but never fires.
     pub fn none() -> Self {
-        FaultPlan {
-            faults: FaultConfig::none(),
-            ..FaultPlan::default()
-        }
+        FaultPlan::default()
     }
 
     /// A plan around the given fault configuration with default recovery
@@ -93,22 +95,19 @@ impl FaultPlan {
     }
 
     /// The plan with per-replica circuit breakers enabled.
-    pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = Some(breaker);
+    pub fn with_breaker(mut self) -> Self {
+        self.breaker = true;
         self
     }
 }
 
 impl Default for FaultPlan {
-    /// Defaults: no faults, 3 retries, 500 ms backoff unit, shed
-    /// low-priority work below 1/3 surviving capacity, no breakers.
+    /// Defaults: no faults, 3 retries, no breakers.
     fn default() -> Self {
         FaultPlan {
             faults: FaultConfig::none(),
             max_retries: 3,
-            retry_backoff: SimDuration::from_millis(500),
-            shed_below_up_fraction: 0.34,
-            breaker: None,
+            breaker: false,
         }
     }
 }
@@ -155,10 +154,9 @@ pub(crate) struct Slot {
     pub(crate) engine: ReplicaEngine,
     pub(crate) crashes: Vec<CrashEvent>,
     pub(crate) next_crash: usize,
-    /// Drained (or restarting-and-empty): skipped until new work arrives.
+    /// Drained, restarting-and-empty or lost for good: skipped until new
+    /// work arrives (a lost slot never gets any).
     pub(crate) parked: bool,
-    /// Permanently crashed; never receives work again.
-    pub(crate) dead: bool,
     /// This replica's circuit breaker, when the plan enables them.
     pub(crate) breaker: Option<CircuitBreaker>,
 }
@@ -170,7 +168,7 @@ pub(crate) struct Slot {
 pub(crate) fn pending_crash_barrier(slots: &[Slot]) -> Option<SimTime> {
     slots
         .iter()
-        .filter(|s| !s.dead && !s.parked)
+        .filter(|s| !s.parked)
         .filter_map(|s| s.crashes.get(s.next_crash).map(|c| c.at))
         .min()
 }
@@ -181,7 +179,7 @@ pub(crate) fn pending_crash_barrier(slots: &[Slot]) -> Option<SimTime> {
 /// clock has reached the barrier may be ordered after the crash
 /// processing in min-now order, so it belongs to the serial phase.
 fn advance_replica(slot: &mut Slot, barrier: Option<SimTime>) {
-    if slot.dead || slot.parked {
+    if slot.parked {
         return;
     }
     loop {
@@ -223,10 +221,10 @@ mod tests {
     use crate::elastic::{
         run_shared_elastic, run_shared_elastic_observed_lockstep, ElasticRunResult,
     };
-    use crate::lifecycle::ElasticPlan;
+    use crate::lifecycle::{ElasticPlan, ScaleAction, ScaleEvent};
     use crate::router::RouterError;
     use crate::spec::SchedulerSpec;
-    use qoserve_metrics::Disposition;
+    use qoserve_metrics::{Disposition, RequestOutcome};
     use qoserve_perf::HardwareConfig;
     use qoserve_sim::SeedStream;
     use qoserve_trace::Tracer;
@@ -324,7 +322,7 @@ mod tests {
     fn breakers_leave_zero_fault_runs_bit_identical() {
         let t = trace(16, 5.0, 120);
         let base = run_faulty(&t, 3, &SchedulerSpec::qoserve(), &FaultPlan::none(), 16).unwrap();
-        let plan = FaultPlan::none().with_breaker(BreakerConfig::default());
+        let plan = FaultPlan::none().with_breaker();
         let with_breaker = run_faulty(&t, 3, &SchedulerSpec::qoserve(), &plan, 16).unwrap();
         // Health observation is a pure read: enabling breakers on a
         // fault-free cluster changes nothing.
@@ -343,7 +341,7 @@ mod tests {
         faults.straggler_rate_per_hour = 360_000.0;
         faults.straggler_duration = SimDuration::from_secs(60);
         faults.straggler_factor = 4.0;
-        let plan = FaultPlan::with_faults(faults).with_breaker(BreakerConfig::default());
+        let plan = FaultPlan::with_faults(faults).with_breaker();
         let run = || run_faulty(&t, 2, &SchedulerSpec::qoserve(), &plan, 17).unwrap();
         let a = run();
         assert_eq!(a, run(), "breaker decisions must replay bit-identically");
@@ -358,8 +356,7 @@ mod tests {
     #[test]
     fn breaker_dispatch_is_deterministic_under_mixed_faults() {
         let t = trace(18, 8.0, 250);
-        let plan =
-            FaultPlan::with_faults(crash_heavy(600.0)).with_breaker(BreakerConfig::default());
+        let plan = FaultPlan::with_faults(crash_heavy(600.0)).with_breaker();
         let run = || run_faulty(&t, 3, &SchedulerSpec::qoserve(), &plan, 18).unwrap();
         let a = run();
         assert_eq!(a, run(), "same seed must replay bit-identically");
@@ -374,8 +371,7 @@ mod tests {
     #[test]
     fn sharded_kernel_matches_lockstep_reference_bit_for_bit() {
         let t = trace(19, 8.0, 250);
-        let plan =
-            FaultPlan::with_faults(crash_heavy(600.0)).with_breaker(BreakerConfig::default());
+        let plan = FaultPlan::with_faults(crash_heavy(600.0)).with_breaker();
         let sharded = run_faulty(&t, 3, &SchedulerSpec::qoserve(), &plan, 19).unwrap();
         let lockstep = run_shared_elastic_observed_lockstep(
             &t,
@@ -427,5 +423,96 @@ mod tests {
             lost > 0,
             "with every replica permanently dead, some work must be shed"
         );
+        // Recorded before lost slots left the provisioned fleet: the shed
+        // still counts them, so the run is unchanged.
+        assert_eq!(outcome_digest(&r.outcomes), 0x8d40_effb_a3ea_befd);
+        assert_eq!(
+            r.stats,
+            FaultRunStats {
+                crashes: 2,
+                redispatches: 16,
+                shed: 132,
+                reprefill_tokens: 7_236,
+                ..FaultRunStats::default()
+            }
+        );
+    }
+
+    /// FNV-1a digest of every outcome's integer fields and recovery
+    /// history, in outcome order.
+    fn outcome_digest(outcomes: &[RequestOutcome]) -> u64 {
+        let micros = |t: Option<SimTime>| t.map_or(u64::MAX, |t| t.as_micros());
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for o in outcomes {
+            for v in [
+                o.spec.id.0,
+                micros(o.first_token),
+                micros(o.completion),
+                o.max_tbt.as_micros(),
+                o.worst_token_lateness.as_micros() as u64,
+                u64::from(o.relegated),
+                u64::from(o.replica),
+                o.disposition as u64,
+                u64::from(o.retries),
+                o.reprefill_tokens,
+            ] {
+                for b in v.to_le_bytes() {
+                    digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        digest
+    }
+
+    /// A slot that crashes with no restart leaves the provisioned fleet at
+    /// its crash instant, and an Add never reuses it: two replicas crash
+    /// for good, then a scheduled Add provisions the third slot.
+    #[test]
+    fn permanently_lost_slots_leave_the_fleet() {
+        let t = trace(27, 6.0, 200);
+        let faults = FaultConfig {
+            crash_rate_per_hour: 600.0,
+            restart_downtime: None,
+            max_crashes_per_replica: 1,
+            ..FaultConfig::none()
+        };
+        let plan = FaultPlan::with_faults(faults);
+        let elastic = ElasticPlan {
+            max_replicas: 3,
+            schedule: vec![ScaleEvent {
+                at: SimTime::from_secs(25),
+                action: ScaleAction::Add,
+            }],
+            ..ElasticPlan::none()
+        };
+        let sharded = run_shared_elastic(
+            &t,
+            2,
+            &SchedulerSpec::qoserve(),
+            &config(),
+            &plan,
+            &elastic,
+            &SeedStream::new(27),
+        )
+        .unwrap();
+        let lockstep = run_shared_elastic_observed_lockstep(
+            &t,
+            2,
+            &SchedulerSpec::qoserve(),
+            &config(),
+            &plan,
+            &elastic,
+            &SeedStream::new(27),
+            &Tracer::disabled(),
+            None,
+        )
+        .unwrap();
+        assert_eq!(sharded, lockstep, "kernels must agree bit-for-bit");
+        assert_eq!(sharded.stats.crashes, 2);
+        assert_eq!(sharded.stats.scale_ups, 1);
+        let sizes: Vec<u32> = sharded.fleet.iter().map(|&(_, size)| size).collect();
+        assert_eq!(sizes, [2, 1, 0, 1], "fleet log {:?}", sharded.fleet);
+        assert_eq!(sharded.fleet[3].0, SimTime::from_secs(25));
+        assert!(sharded.fleet[2].0 < SimTime::from_secs(25));
     }
 }

@@ -8,7 +8,7 @@ use qoserve_perf::{HardwareConfig, LatencyPredictor, PredictorKind};
 use qoserve_sched::{
     ConServeScheduler, DeadlineAwareAdmission, MedhaConfig, MedhaScheduler, OrderPolicy,
     QoServeConfig, QoServeScheduler, RateLimitScheduler, SarathiScheduler, Scheduler,
-    SlosServeConfig, SlosServeScheduler,
+    SlosServeScheduler,
 };
 use qoserve_sim::SeedStream;
 
@@ -31,7 +31,7 @@ pub enum SchedulerSpec {
     },
     /// Medha-style adaptive chunking (§4.5.1).
     Medha {
-        /// TBT target and chunk bounds.
+        /// The TBT target.
         config: MedhaConfig,
         /// Which latency predictor backs the chunk search.
         predictor: PredictorKind,
@@ -41,11 +41,8 @@ pub enum SchedulerSpec {
         /// Fixed per-iteration token budget.
         chunk: u32,
     },
-    /// SLOs-Serve-style periodic DP planning (§4.5.3).
-    SlosServe {
-        /// DP horizon and budget configuration.
-        config: SlosServeConfig,
-    },
+    /// SLOs-Serve-style DP planning at every batch (§4.5.3).
+    SlosServe,
     /// §2.2's rate-limiting overload baseline: an inner scheduler behind
     /// an importance-blind backlog cap.
     RateLimited {
@@ -139,20 +136,19 @@ impl SchedulerSpec {
                 LatencyPredictor::of_kind(*predictor, hw, seeds),
             )),
             SchedulerSpec::ConServe { chunk } => Box::new(ConServeScheduler::new(*chunk)),
-            SchedulerSpec::SlosServe { config } => Box::new(SlosServeScheduler::new(
-                *config,
-                LatencyPredictor::analytical(hw),
-            )),
+            SchedulerSpec::SlosServe => {
+                Box::new(SlosServeScheduler::new(LatencyPredictor::analytical(hw)))
+            }
             SchedulerSpec::RateLimited {
                 inner,
                 max_backlog_tokens,
             } => Box::new(RateLimitScheduler::new(
-                BoxedScheduler(inner.build(hw, seeds)),
+                inner.build(hw, seeds),
                 *max_backlog_tokens,
             )),
             SchedulerSpec::DeadlineAware { inner, predictor } => {
                 Box::new(DeadlineAwareAdmission::new(
-                    BoxedScheduler(inner.build(hw, seeds)),
+                    inner.build(hw, seeds),
                     LatencyPredictor::of_kind(*predictor, hw, seeds),
                 ))
             }
@@ -166,7 +162,7 @@ impl SchedulerSpec {
             SchedulerSpec::QoServe { .. } => "QoServe".to_owned(),
             SchedulerSpec::Medha { .. } => "Medha".to_owned(),
             SchedulerSpec::ConServe { .. } => "ConServe".to_owned(),
-            SchedulerSpec::SlosServe { .. } => "SLOs-Serve".to_owned(),
+            SchedulerSpec::SlosServe => "SLOs-Serve".to_owned(),
             SchedulerSpec::RateLimited { inner, .. } => {
                 format!("RateLimited({})", inner.label())
             }
@@ -174,53 +170,6 @@ impl SchedulerSpec {
                 format!("DeadlineAware({})", inner.label())
             }
         }
-    }
-}
-
-/// Newtype making a boxed scheduler usable as the generic parameter of
-/// [`RateLimitScheduler`] (which takes `S: Scheduler` by value).
-struct BoxedScheduler(Box<dyn Scheduler>);
-
-impl Scheduler for BoxedScheduler {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn on_arrival(&mut self, job: qoserve_sched::PrefillJob, now: qoserve_sim::SimTime) {
-        self.0.on_arrival(job, now)
-    }
-    fn plan_batch(
-        &mut self,
-        now: qoserve_sim::SimTime,
-        decodes: &[qoserve_sched::DecodeJob],
-        constraints: qoserve_sched::Constraints,
-    ) -> qoserve_sched::BatchPlan {
-        self.0.plan_batch(now, decodes, constraints)
-    }
-    fn on_completion(&mut self, spec: &qoserve_workload::RequestSpec, observed: u32) {
-        self.0.on_completion(spec, observed)
-    }
-    fn on_iteration(
-        &mut self,
-        batch: &qoserve_perf::BatchProfile,
-        observed: qoserve_sim::SimDuration,
-        now: qoserve_sim::SimTime,
-    ) {
-        self.0.on_iteration(batch, observed, now)
-    }
-    fn set_tracer(&mut self, tracer: qoserve_trace::Tracer) {
-        self.0.set_tracer(tracer)
-    }
-    fn pending_prefills(&self) -> usize {
-        self.0.pending_prefills()
-    }
-    fn pending_prefill_tokens(&self) -> u64 {
-        self.0.pending_prefill_tokens()
-    }
-    fn drain_pending(&mut self) -> Vec<qoserve_sched::PrefillJob> {
-        self.0.drain_pending()
-    }
-    fn drain_rejected(&mut self) -> Vec<qoserve_sched::PrefillJob> {
-        self.0.drain_rejected()
     }
 }
 
@@ -271,10 +220,10 @@ mod tests {
     fn builds_slos_serve_and_rate_limited() {
         let hw = HardwareConfig::llama3_8b_a100_tp1();
         let seeds = SeedStream::new(2);
-        let slos = SchedulerSpec::SlosServe {
-            config: SlosServeConfig::default(),
-        };
-        assert_eq!(slos.build(&hw, &seeds).name(), "SLOs-Serve");
+        assert_eq!(
+            SchedulerSpec::SlosServe.build(&hw, &seeds).name(),
+            "SLOs-Serve"
+        );
         let limited = SchedulerSpec::RateLimited {
             inner: Box::new(SchedulerSpec::sarathi_fcfs()),
             max_backlog_tokens: 10_000,

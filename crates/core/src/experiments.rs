@@ -14,8 +14,8 @@
 //! paper-scale windows.
 
 use qoserve_cluster::{
-    generate_scale_schedule, run_shared, run_shared_elastic, BreakerConfig, ClusterConfig,
-    ElasticPlan, FaultPlan, FaultRunStats, LifecycleConfig, ScaleChurnConfig, SchedulerSpec,
+    generate_scale_schedule, run_shared, run_shared_elastic, ClusterConfig, ElasticPlan, FaultPlan,
+    FaultRunStats, LifecycleConfig, ScaleChurnConfig, SchedulerSpec,
 };
 use qoserve_metrics::{RecoveryReport, RequestOutcome, SloReport};
 use qoserve_perf::HardwareConfig;
@@ -173,7 +173,7 @@ pub fn fault_sweep(
         .map(|scheme| ResiliencePipeline {
             label: scheme.label(),
             scheme: scheme.clone(),
-            breaker: None,
+            breaker: false,
         })
         .collect();
     resilience_sweep(setup, &pipelines, intensities)
@@ -294,9 +294,9 @@ pub struct ResiliencePipeline {
     pub label: String,
     /// The per-replica scheduler.
     pub scheme: SchedulerSpec,
-    /// Circuit-breaker configuration for health-aware re-dispatch, if
-    /// enabled.
-    pub breaker: Option<BreakerConfig>,
+    /// Whether circuit breakers steer re-dispatch away from unhealthy
+    /// replicas.
+    pub breaker: bool,
 }
 
 /// The two pipelines the `resilience_sweep` binary compares: today's
@@ -307,12 +307,12 @@ pub fn resilience_pipelines() -> Vec<ResiliencePipeline> {
         ResiliencePipeline {
             label: "static".to_owned(),
             scheme: SchedulerSpec::qoserve(),
-            breaker: None,
+            breaker: false,
         },
         ResiliencePipeline {
             label: "adaptive".to_owned(),
             scheme: SchedulerSpec::deadline_aware(SchedulerSpec::qoserve_adaptive()),
-            breaker: Some(BreakerConfig::default()),
+            breaker: true,
         },
     ]
 }
@@ -341,8 +341,8 @@ fn resilience_cell(
 ) -> FaultSweepPoint {
     let config = ClusterConfig::new(setup.hardware.clone());
     let mut plan = setup.plan.scaled(intensity);
-    if let Some(breaker) = pipeline.breaker {
-        plan = plan.with_breaker(breaker);
+    if pipeline.breaker {
+        plan = plan.with_breaker();
     }
     // The only error is a zero-replica deployment; report it as an empty
     // run rather than poisoning the whole sweep.

@@ -78,10 +78,9 @@ pub mod prelude {
         drain_victim, generate_scale_schedule, max_goodput, min_replicas_for, run_shared,
         run_shared_elastic, run_shared_elastic_observed, run_shared_elastic_observed_lockstep,
         run_shared_traced, run_siloed, AutoscaleConfig, AutoscaleController, AutoscaleDecision,
-        BreakerConfig, BreakerState, CircuitBreaker, ClusterConfig, ControlObservation,
-        DrainCandidate, ElasticPlan, ElasticRunResult, FaultPlan, FaultRunStats, GoodputOptions,
-        LifecycleConfig, Router, RouterError, ScaleAction, ScaleChurnConfig, ScaleEvent,
-        SchedulerSpec, SiloGroup,
+        BreakerState, CircuitBreaker, ClusterConfig, ControlObservation, DrainCandidate,
+        ElasticPlan, ElasticRunResult, FaultPlan, FaultRunStats, GoodputOptions, LifecycleConfig,
+        Router, RouterError, ScaleAction, ScaleChurnConfig, ScaleEvent, SchedulerSpec, SiloGroup,
     };
     pub use qoserve_engine::{
         HealthSnapshot, ReplicaConfig, ReplicaEngine, ReplicaState, HEALTH_WINDOW,
@@ -91,13 +90,13 @@ pub mod prelude {
         SloReport, Table,
     };
     pub use qoserve_perf::{
-        AdaptiveMargin, AdaptiveMarginConfig, BatchProfile, ChunkBudget, ChunkLimits, ErrorTracker,
-        HardwareConfig, LatencyModel, LatencyPredictor, PredictorKind,
+        AdaptiveMargin, BatchProfile, ChunkBudget, ChunkLimits, ErrorTracker, HardwareConfig,
+        LatencyModel, LatencyPredictor, PredictorKind,
     };
     pub use qoserve_sched::{
         AlphaPolicy, ConServeScheduler, DeadlineAwareAdmission, MedhaConfig, MedhaScheduler,
         OrderPolicy, ProcessingEstimator, QoServeConfig, QoServeScheduler, RateLimitScheduler,
-        SarathiScheduler, Scheduler, SlosServeConfig, SlosServeScheduler,
+        SarathiScheduler, Scheduler, SlosServeScheduler,
     };
     pub use qoserve_sim::{
         par_map, par_max_passing, thread_limit, FaultConfig, FaultSchedule, SeedStream,

@@ -234,15 +234,6 @@ impl QoServe {
         id
     }
 
-    /// Submits a pre-built spec (e.g. from a [`Trace`]).
-    pub fn submit_spec(&mut self, mut spec: RequestSpec) -> RequestId {
-        let id = RequestId(self.next_id);
-        self.next_id += 1;
-        spec.id = id;
-        self.pending.push(spec);
-        id
-    }
-
     /// Number of submitted-but-not-yet-run requests.
     pub fn pending(&self) -> usize {
         self.pending.len()

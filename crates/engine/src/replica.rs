@@ -393,11 +393,6 @@ impl ReplicaEngine {
         self.iterations
     }
 
-    /// The scheduler's display name.
-    pub fn scheduler_name(&self) -> &str {
-        self.scheduler.name()
-    }
-
     /// Recorded batch diagnostics (empty unless enabled in the config).
     pub fn batch_log(&self) -> &[BatchRecord] {
         &self.batch_log
@@ -743,13 +738,6 @@ impl ReplicaEngine {
         recalled
     }
 
-    /// Whether any work remains (queued arrivals, in-flight requests, or
-    /// pending prefills). Used by the lockstep cluster driver to tell an
-    /// idle-but-alive replica from a drained one.
-    pub fn has_work(&self) -> bool {
-        !self.arrivals.is_empty() || self.running() > 0 || self.scheduler.pending_prefills() > 0
-    }
-
     /// Iterations executed inside a slowdown window so far.
     pub fn degraded_iterations(&self) -> u64 {
         self.degraded_iterations
@@ -937,7 +925,7 @@ mod tests {
         assert_eq!(orphans.len(), 5);
         assert!(orphans.iter().all(|j| j.prefill_done == 0 && !j.relegated));
         assert!(e.take_outcomes().is_empty());
-        assert!(!e.has_work());
+        assert!(e.take_unarrived().is_empty());
     }
 
     #[test]
@@ -1137,7 +1125,7 @@ mod tests {
 
     #[test]
     fn rejections_surface_with_their_own_disposition() {
-        let inner = SarathiScheduler::new(OrderPolicy::Fcfs, 256);
+        let inner = Box::new(SarathiScheduler::new(OrderPolicy::Fcfs, 256));
         let sched = RateLimitScheduler::new(inner, 1_000);
         let mut config = base_config();
         config.horizon = Some(SimTime::from_millis(200));

@@ -1,7 +1,5 @@
 //! Percentile computation and latency summaries.
 
-use qoserve_sim::SimDuration;
-
 /// Linearly interpolated percentile of `values` (need not be sorted;
 /// `p` in `[0, 1]`). Returns `None` on an empty slice.
 ///
@@ -52,14 +50,8 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Summarises a set of durations. Empty input yields an all-zero
-    /// summary with `count == 0`.
-    pub fn of_durations<I: IntoIterator<Item = SimDuration>>(durations: I) -> Self {
-        let secs: Vec<f64> = durations.into_iter().map(|d| d.as_secs_f64()).collect();
-        Self::of_seconds(&secs)
-    }
-
-    /// Summarises latencies given in seconds.
+    /// Summarises latencies given in seconds. Empty input yields an
+    /// all-zero summary with `count == 0`.
     pub fn of_seconds(secs: &[f64]) -> Self {
         if secs.is_empty() {
             return LatencySummary::default();
@@ -116,7 +108,8 @@ mod tests {
 
     #[test]
     fn summary_of_durations() {
-        let s = LatencySummary::of_durations((1..=100).map(SimDuration::from_secs));
+        let secs: Vec<f64> = (1..=100).map(f64::from).collect();
+        let s = LatencySummary::of_seconds(&secs);
         assert_eq!(s.count, 100);
         assert!((s.p50 - 50.5).abs() < 1e-9);
         assert!((s.mean - 50.5).abs() < 1e-9);

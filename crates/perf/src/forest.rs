@@ -12,47 +12,29 @@
 
 use qoserve_sim::{Rng, SliceRandom};
 
-/// Hyper-parameters for [`RandomForest::fit`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RandomForestConfig {
-    /// Number of trees in the ensemble.
-    pub num_trees: usize,
-    /// Maximum tree depth.
-    pub max_depth: usize,
-    /// Minimum samples a leaf may hold.
-    pub min_leaf: usize,
-    /// Number of candidate features tried at each split (`<= num features`);
-    /// 0 means "all features".
-    pub features_per_split: usize,
-    /// Number of candidate thresholds per feature per split.
-    pub thresholds_per_feature: usize,
-}
-
-impl Default for RandomForestConfig {
-    fn default() -> Self {
-        RandomForestConfig {
-            num_trees: 24,
-            max_depth: 12,
-            min_leaf: 4,
-            features_per_split: 0,
-            thresholds_per_feature: 16,
-        }
-    }
-}
+/// Number of trees in the ensemble.
+pub(crate) const NUM_TREES: usize = 24;
+/// Maximum tree depth.
+pub(crate) const MAX_DEPTH: usize = 12;
+/// Minimum samples a leaf may hold.
+pub(crate) const MIN_LEAF: usize = 4;
+/// Number of candidate thresholds per feature per split. Every split
+/// tries every feature (in a shuffled order).
+pub(crate) const THRESHOLDS_PER_FEATURE: usize = 16;
 
 /// A trained random-forest regressor.
 ///
 /// # Example
 ///
 /// ```
-/// use qoserve_perf::{RandomForest, RandomForestConfig};
+/// use qoserve_perf::RandomForest;
 /// use qoserve_sim::SeedStream;
 ///
 /// // y = 3x (one feature); the forest should interpolate well in-range.
 /// let xs: Vec<Vec<f64>> = (0..200).map(|i| vec![i as f64]).collect();
 /// let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x[0]).collect();
 /// let mut rng = SeedStream::new(1).derive("forest");
-/// let forest = RandomForest::fit(&xs, &ys, RandomForestConfig::default(), &mut rng).unwrap();
+/// let forest = RandomForest::fit(&xs, &ys, &mut rng).unwrap();
 /// let pred = forest.predict(&[100.0]);
 /// assert!((pred - 300.0).abs() < 30.0);
 /// ```
@@ -141,7 +123,8 @@ impl Tree {
 }
 
 impl RandomForest {
-    /// Trains a forest on `rows` (each a feature slice) against `labels`.
+    /// Trains a forest of 24 trees on `rows` (each a feature slice)
+    /// against `labels`.
     ///
     /// # Errors
     ///
@@ -151,7 +134,6 @@ impl RandomForest {
     pub fn fit<R: Rng + ?Sized, Row: AsRef<[f64]>>(
         rows: &[Row],
         labels: &[f64],
-        config: RandomForestConfig,
         rng: &mut R,
     ) -> Result<RandomForest, FitError> {
         if rows.is_empty() {
@@ -173,14 +155,8 @@ impl RandomForest {
             }
         }
 
-        let features_per_split = if config.features_per_split == 0 {
-            num_features
-        } else {
-            config.features_per_split.min(num_features)
-        };
-
-        let mut trees = Vec::with_capacity(config.num_trees);
-        for _ in 0..config.num_trees {
+        let mut trees = Vec::with_capacity(NUM_TREES);
+        for _ in 0..NUM_TREES {
             // Bootstrap resample.
             let indices: Vec<usize> = (0..rows.len())
                 .map(|_| rng.gen_range(0..rows.len()))
@@ -188,8 +164,6 @@ impl RandomForest {
             let mut builder = TreeBuilder {
                 rows,
                 labels,
-                config,
-                features_per_split,
                 num_features,
                 nodes: Vec::new(),
             };
@@ -264,8 +238,6 @@ impl RandomForest {
 struct TreeBuilder<'a, Row: AsRef<[f64]>> {
     rows: &'a [Row],
     labels: &'a [f64],
-    config: RandomForestConfig,
-    features_per_split: usize,
     num_features: usize,
     nodes: Vec<Node>,
 }
@@ -275,10 +247,7 @@ impl<'a, Row: AsRef<[f64]>> TreeBuilder<'a, Row> {
     fn grow<R: Rng + ?Sized>(&mut self, indices: Vec<usize>, depth: usize, rng: &mut R) -> usize {
         let mean = self.mean_label(&indices);
 
-        if depth >= self.config.max_depth
-            || indices.len() < 2 * self.config.min_leaf
-            || self.is_pure(&indices)
-        {
+        if depth >= MAX_DEPTH || indices.len() < 2 * MIN_LEAF || self.is_pure(&indices) {
             return self.push(Node::Leaf { value: mean });
         }
 
@@ -288,7 +257,7 @@ impl<'a, Row: AsRef<[f64]>> TreeBuilder<'a, Row> {
                 let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
                     .into_iter()
                     .partition(|&i| self.rows[i].as_ref()[feature] <= threshold);
-                if left_idx.len() < self.config.min_leaf || right_idx.len() < self.config.min_leaf {
+                if left_idx.len() < MIN_LEAF || right_idx.len() < MIN_LEAF {
                     return self.push(Node::Leaf { value: mean });
                 }
                 // Reserve the split slot before growing children so child
@@ -326,12 +295,11 @@ impl<'a, Row: AsRef<[f64]>> TreeBuilder<'a, Row> {
             .all(|&i| (self.labels[i] - first).abs() < 1e-12)
     }
 
-    /// Finds the (feature, threshold) minimizing weighted child SSE over a
-    /// random subset of features and sampled thresholds.
+    /// Finds the (feature, threshold) minimizing weighted child SSE over
+    /// every feature, in a shuffled order, and sampled thresholds.
     fn best_split<R: Rng + ?Sized>(&self, indices: &[usize], rng: &mut R) -> Option<(usize, f64)> {
         let mut candidate_features: Vec<usize> = (0..self.num_features).collect();
         candidate_features.shuffle(rng);
-        candidate_features.truncate(self.features_per_split);
 
         let parent_sse = self.sse(indices);
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
@@ -346,7 +314,7 @@ impl<'a, Row: AsRef<[f64]>> TreeBuilder<'a, Row> {
             if values.len() < 2 {
                 continue;
             }
-            let step = (values.len() / self.config.thresholds_per_feature).max(1);
+            let step = (values.len() / THRESHOLDS_PER_FEATURE).max(1);
             for w in values.windows(2).step_by(step) {
                 let threshold = (w[0] + w[1]) / 2.0;
                 let sse = self.split_sse(indices, feature, threshold);
@@ -414,26 +382,21 @@ mod tests {
     #[test]
     fn fit_rejects_empty() {
         let rows: Vec<Vec<f64>> = vec![];
-        let err = RandomForest::fit(&rows, &[], RandomForestConfig::default(), &mut rng());
+        let err = RandomForest::fit(&rows, &[], &mut rng());
         assert_eq!(err.unwrap_err(), FitError::EmptyTrainingSet);
     }
 
     #[test]
     fn fit_rejects_label_mismatch() {
         let rows = vec![vec![1.0], vec![2.0]];
-        let err = RandomForest::fit(&rows, &[1.0], RandomForestConfig::default(), &mut rng());
+        let err = RandomForest::fit(&rows, &[1.0], &mut rng());
         assert!(matches!(err.unwrap_err(), FitError::ShapeMismatch { .. }));
     }
 
     #[test]
     fn fit_rejects_ragged_rows() {
         let rows = vec![vec![1.0], vec![2.0, 3.0]];
-        let err = RandomForest::fit(
-            &rows,
-            &[1.0, 2.0],
-            RandomForestConfig::default(),
-            &mut rng(),
-        );
+        let err = RandomForest::fit(&rows, &[1.0, 2.0], &mut rng());
         assert!(matches!(err.unwrap_err(), FitError::ShapeMismatch { .. }));
     }
 
@@ -441,8 +404,7 @@ mod tests {
     fn constant_labels_predict_constant() {
         let rows: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64]).collect();
         let labels = vec![7.5; 50];
-        let f =
-            RandomForest::fit(&rows, &labels, RandomForestConfig::default(), &mut rng()).unwrap();
+        let f = RandomForest::fit(&rows, &labels, &mut rng()).unwrap();
         assert!((f.predict(&[25.0]) - 7.5).abs() < 1e-9);
     }
 
@@ -450,8 +412,7 @@ mod tests {
     fn learns_linear_function() {
         let rows: Vec<Vec<f64>> = (0..500).map(|i| vec![i as f64]).collect();
         let labels: Vec<f64> = rows.iter().map(|r| 2.0 * r[0] + 10.0).collect();
-        let f =
-            RandomForest::fit(&rows, &labels, RandomForestConfig::default(), &mut rng()).unwrap();
+        let f = RandomForest::fit(&rows, &labels, &mut rng()).unwrap();
         for x in [50.0, 123.0, 250.0, 444.0] {
             let pred = f.predict(&[x]);
             let truth = 2.0 * x + 10.0;
@@ -469,8 +430,7 @@ mod tests {
             .map(|_| vec![r.gen_range(0.0..10.0), r.gen_range(0.0..10.0)])
             .collect();
         let labels: Vec<f64> = rows.iter().map(|x| x[0] * x[1] + 5.0).collect();
-        let f =
-            RandomForest::fit(&rows, &labels, RandomForestConfig::default(), &mut rng()).unwrap();
+        let f = RandomForest::fit(&rows, &labels, &mut rng()).unwrap();
         let mape = f.mape(&rows, &labels);
         assert!(mape < 0.10, "in-sample MAPE should be small, got {mape}");
     }
@@ -479,12 +439,13 @@ mod tests {
     fn respects_max_depth() {
         let rows: Vec<Vec<f64>> = (0..1000).map(|i| vec![i as f64]).collect();
         let labels: Vec<f64> = rows.iter().map(|r| r[0]).collect();
-        let config = RandomForestConfig {
-            max_depth: 3,
-            ..Default::default()
-        };
-        let f = RandomForest::fit(&rows, &labels, config, &mut rng()).unwrap();
-        assert!(f.max_depth() <= 4, "depth {} exceeds limit", f.max_depth());
+        let f = RandomForest::fit(&rows, &labels, &mut rng()).unwrap();
+        // MAX_DEPTH splits plus the leaf level.
+        assert!(
+            f.max_depth() <= MAX_DEPTH + 1,
+            "depth {} exceeds limit",
+            f.max_depth()
+        );
     }
 
     #[test]
@@ -493,10 +454,8 @@ mod tests {
             .map(|i| vec![i as f64, (i * 7 % 13) as f64])
             .collect();
         let labels: Vec<f64> = rows.iter().map(|r| r[0] + r[1]).collect();
-        let f1 =
-            RandomForest::fit(&rows, &labels, RandomForestConfig::default(), &mut rng()).unwrap();
-        let f2 =
-            RandomForest::fit(&rows, &labels, RandomForestConfig::default(), &mut rng()).unwrap();
+        let f1 = RandomForest::fit(&rows, &labels, &mut rng()).unwrap();
+        let f2 = RandomForest::fit(&rows, &labels, &mut rng()).unwrap();
         assert_eq!(f1, f2);
     }
 
@@ -505,8 +464,7 @@ mod tests {
     fn predict_panics_on_wrong_arity() {
         let rows = vec![vec![1.0, 2.0]; 20];
         let labels = vec![1.0; 20];
-        let f =
-            RandomForest::fit(&rows, &labels, RandomForestConfig::default(), &mut rng()).unwrap();
+        let f = RandomForest::fit(&rows, &labels, &mut rng()).unwrap();
         let _ = f.predict(&[1.0]);
     }
 
@@ -514,12 +472,8 @@ mod tests {
     fn num_trees_matches_config() {
         let rows = vec![vec![0.0], vec![1.0], vec![2.0], vec![3.0]];
         let labels = vec![0.0, 1.0, 2.0, 3.0];
-        let config = RandomForestConfig {
-            num_trees: 7,
-            ..Default::default()
-        };
-        let f = RandomForest::fit(&rows, &labels, config, &mut rng()).unwrap();
-        assert_eq!(f.num_trees(), 7);
+        let f = RandomForest::fit(&rows, &labels, &mut rng()).unwrap();
+        assert_eq!(f.num_trees(), NUM_TREES);
         assert_eq!(f.num_features(), 1);
     }
 }

@@ -67,8 +67,8 @@ pub mod resilience;
 
 pub use analytical::LatencyModel;
 pub use batch::{BatchProfile, BatchProfileBuilder, PrefillChunkProfile};
-pub use forest::{RandomForest, RandomForestConfig};
+pub use forest::RandomForest;
 pub use hardware::{AttentionKind, GpuSpec, HardwareConfig, ModelSpec, Parallelism};
 pub use predictor::{ChunkBudget, ChunkLimits, LatencyPredictor, PredictorKind};
 pub use profiler::{ProfileSample, Profiler, ProfilerConfig};
-pub use resilience::{AdaptiveMargin, AdaptiveMarginConfig, ErrorTracker};
+pub use resilience::{AdaptiveMargin, ErrorTracker};

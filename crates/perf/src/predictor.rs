@@ -16,7 +16,7 @@ use qoserve_trace::{TraceEvent, Tracer};
 
 use crate::analytical::LatencyModel;
 use crate::batch::{BatchProfile, PrefillChunkProfile};
-use crate::forest::{RandomForest, RandomForestConfig};
+use crate::forest::RandomForest;
 use crate::hardware::HardwareConfig;
 use crate::profiler::{Profiler, ProfilerConfig};
 
@@ -77,7 +77,7 @@ impl LatencyPredictor {
             clippy::expect_used,
             reason = "offline training step; the profiler grid is statically non-empty and a silent fallback would hide a broken profile"
         )]
-        let forest = RandomForest::fit(&rows, &labels, RandomForestConfig::default(), &mut rng)
+        let forest = RandomForest::fit(&rows, &labels, &mut rng)
             .expect("profiler always yields a non-empty training set");
         LatencyPredictor {
             backend: Backend::Forest {
@@ -728,5 +728,35 @@ mod tests {
             };
             assert_eq!(record.event, want, "at budget {budget}");
         }
+    }
+
+    /// The trained forest's raw predictions over a fixed grid of batches,
+    /// for one hardware config and one seed, pinned by an FNV-1a digest of
+    /// their bits. No experiment selects the forest, so this is what holds
+    /// the training set, the fit and its hyperparameters still. A
+    /// deliberate change re-records the digest from the failure message.
+    #[test]
+    fn forest_predictions_are_pinned() {
+        let forest = LatencyPredictor::of_kind(PredictorKind::Forest, &hw(), &SeedStream::new(83));
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for chunk in [0, 256, 1_024, 2_560] {
+            for prefill_context in [0, 4_096] {
+                for decodes in [0, 16, 128] {
+                    for ctx_per_decode in [500, 3_000] {
+                        let batch = BatchProfile::builder()
+                            .prefill_chunk(chunk, prefill_context)
+                            .decodes(decodes, u64::from(decodes) * ctx_per_decode)
+                            .build();
+                        for b in forest.predict_raw_us(&batch).to_bits().to_le_bytes() {
+                            digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            digest, 0x5f08_6048_9f86_5e1b,
+            "forest predictions changed: {digest:#018x}"
+        );
     }
 }

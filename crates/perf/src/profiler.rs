@@ -147,7 +147,7 @@ impl Profiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forest::{RandomForest, RandomForestConfig};
+    use crate::forest::RandomForest;
 
     fn small_profiler() -> Profiler {
         Profiler::new(
@@ -213,8 +213,7 @@ mod tests {
         let (train, test) = samples.split_at(3_200);
         let (rows, labels) = Profiler::to_training_set(train);
         let mut rng = SeedStream::new(12).derive("fit");
-        let forest =
-            RandomForest::fit(&rows, &labels, RandomForestConfig::default(), &mut rng).unwrap();
+        let forest = RandomForest::fit(&rows, &labels, &mut rng).unwrap();
         let (test_rows, test_labels) = Profiler::to_training_set(test);
         let mape = forest.mape(&test_rows, &test_labels);
         assert!(

@@ -148,84 +148,48 @@ impl Default for ErrorTracker {
     }
 }
 
-/// Tuning of the adaptive margin controller.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveMarginConfig {
-    /// Margin the controller decays back to when calm — normally the
-    /// predictor's static margin. The quantization grid is anchored here,
-    /// so "calm" is *exactly* the base margin.
-    pub base: f64,
-    /// Upper bound for the widened margin.
-    pub max: f64,
-    /// Quantile of the tracked ratio used as the under-prediction signal.
-    pub quantile: f64,
-    /// Extra cover added on top of the observed quantile when widening.
-    pub headroom: f64,
-    /// Quantization step for new margins (grid anchored at `base`).
-    pub step: f64,
-    /// Linear decay per update while calm.
-    pub decay: f64,
-    /// Minimum samples in the tracker before any adaptation fires.
-    pub min_samples: usize,
-    /// Recorded samples between controller updates.
-    pub update_every: u32,
-    /// Ring capacity of the embedded [`ErrorTracker`].
-    pub window: usize,
-    /// Median ratio above which an update counts toward the forest →
-    /// analytical fallback.
-    pub fallback_threshold: f64,
-    /// Consecutive over-threshold updates before the fallback engages.
-    pub fallback_patience: u32,
-    /// Dead band around 1.0 within which the median ratio is treated as
-    /// "no drift" and no estimator recalibration is recommended.
-    pub recalibration_deadband: f64,
-}
-
-impl Default for AdaptiveMarginConfig {
-    fn default() -> Self {
-        AdaptiveMarginConfig {
-            base: 0.08,
-            max: 1.0,
-            quantile: 0.9,
-            headroom: 0.04,
-            step: 1.0 / 128.0,
-            decay: 0.02,
-            min_samples: 16,
-            update_every: 8,
-            window: ErrorTracker::DEFAULT_WINDOW,
-            fallback_threshold: 1.5,
-            fallback_patience: 4,
-            recalibration_deadband: 0.05,
-        }
-    }
-}
-
-impl AdaptiveMarginConfig {
-    /// The default configuration re-anchored at `base` (normally the
-    /// predictor's static margin, so calm behaviour is bit-identical to
-    /// the static pipeline).
-    pub fn anchored_at(base: f64) -> Self {
-        AdaptiveMarginConfig {
-            base: base.max(0.0),
-            ..AdaptiveMarginConfig::default()
-        }
-    }
-}
+/// Upper bound for the widened margin.
+pub(crate) const MAX_MARGIN: f64 = 1.0;
+/// Quantile of the tracked ratio used as the under-prediction signal.
+pub(crate) const SIGNAL_QUANTILE: f64 = 0.9;
+/// Extra cover added on top of the observed quantile when widening.
+pub(crate) const HEADROOM: f64 = 0.04;
+/// Quantization step for new margins (grid anchored at the base margin).
+pub(crate) const MARGIN_STEP: f64 = 1.0 / 128.0;
+/// Linear decay per update while calm.
+pub(crate) const DECAY: f64 = 0.02;
+/// Minimum samples in the tracker before any adaptation fires.
+pub(crate) const MIN_SAMPLES: usize = 16;
+/// Recorded samples between controller updates.
+pub(crate) const UPDATE_EVERY: u32 = 8;
+/// Median ratio above which an update counts toward the forest →
+/// analytical fallback.
+pub(crate) const FALLBACK_THRESHOLD: f64 = 1.5;
+/// Consecutive over-threshold updates before the fallback engages.
+pub(crate) const FALLBACK_PATIENCE: u32 = 4;
+/// Dead band around 1.0 within which the median ratio is treated as "no
+/// drift" and no estimator recalibration is recommended.
+pub(crate) const RECALIBRATION_DEADBAND: f64 = 0.05;
 
 /// The adaptive-margin controller: an [`ErrorTracker`] plus the
 /// widen/decay/fallback state machine driven by it.
 ///
+/// The tracker holds [`ErrorTracker::DEFAULT_WINDOW`] ratios.
+///
 /// Invariants (pinned by property tests):
 ///
-/// * the margin never drops below `config.base` and never exceeds just
-///   above `config.max` (one quantization step of slop at the clamp);
+/// * the margin never drops below the base and never exceeds just above
+///   the cap of 1.0 (one quantization step of slop at the clamp);
 /// * for a fixed update schedule, the margin is monotone in the observed
 ///   ratios — larger observed error never yields a smaller margin;
 /// * under zero drift (ratios ≤ 1 + base) the margin converges back to
-///   *exactly* `config.base` within `(max - base) / decay` updates.
+///   *exactly* the base within `(1.0 - base) / 0.02` updates.
 #[derive(Debug, Clone)]
 pub struct AdaptiveMargin {
-    config: AdaptiveMarginConfig,
+    /// Margin the controller decays back to when calm: the predictor's
+    /// static margin. The quantization grid is anchored here, so "calm"
+    /// is *exactly* the base margin.
+    base: f64,
     tracker: ErrorTracker,
     margin: f64,
     since_update: u32,
@@ -235,13 +199,15 @@ pub struct AdaptiveMargin {
 }
 
 impl AdaptiveMargin {
-    /// Creates the controller at its base margin.
-    pub fn new(config: AdaptiveMarginConfig) -> Self {
-        let tracker = ErrorTracker::with_capacity(config.window);
+    /// Creates the controller at `base`, normally the predictor's static
+    /// margin (so calm behaviour is bit-identical to the static
+    /// pipeline), clamped to be non-negative.
+    pub fn new(base: f64) -> Self {
+        let base = base.max(0.0);
         AdaptiveMargin {
-            margin: config.base,
-            config,
-            tracker,
+            base,
+            margin: base,
+            tracker: ErrorTracker::new(),
             since_update: 0,
             over_threshold_streak: 0,
             fallback_engaged: false,
@@ -254,9 +220,9 @@ impl AdaptiveMargin {
         self.margin
     }
 
-    /// The controller configuration.
-    pub fn config(&self) -> &AdaptiveMarginConfig {
-        &self.config
+    /// The margin the controller decays back to when calm.
+    pub fn base(&self) -> f64 {
+        self.base
     }
 
     /// Read access to the embedded tracker.
@@ -282,11 +248,11 @@ impl AdaptiveMargin {
     /// it via `ProcessingEstimator::recalibrate` (anchored scaling, so
     /// repeated application does not compound).
     pub fn recalibration_factor(&self) -> Option<f64> {
-        if self.tracker.len() < self.config.min_samples {
+        if self.tracker.len() < MIN_SAMPLES {
             return None;
         }
         let median = self.tracker.median()?;
-        if (median - 1.0).abs() > self.config.recalibration_deadband {
+        if (median - 1.0).abs() > RECALIBRATION_DEADBAND {
             Some(median)
         } else {
             None
@@ -294,13 +260,13 @@ impl AdaptiveMargin {
     }
 
     /// Records one `(predicted, observed)` pair and runs the controller
-    /// every `update_every` samples. Returns `true` when an update ran
+    /// every 8 samples. Returns `true` when an update ran
     /// (the caller should then re-read [`current`](Self::current) and
     /// [`fallback_engaged`](Self::fallback_engaged)).
     pub fn record(&mut self, predicted_us: f64, observed_us: f64) -> bool {
         self.tracker.record(predicted_us, observed_us);
         self.since_update += 1;
-        if self.since_update < self.config.update_every.max(1) {
+        if self.since_update < UPDATE_EVERY {
             return false;
         }
         self.since_update = 0;
@@ -310,28 +276,28 @@ impl AdaptiveMargin {
 
     /// One controller step against the current tracker window.
     fn update(&mut self) {
-        if self.tracker.len() < self.config.min_samples {
+        if self.tracker.len() < MIN_SAMPLES {
             return;
         }
-        let Some(q) = self.tracker.quantile(self.config.quantile) else {
+        let Some(q) = self.tracker.quantile(SIGNAL_QUANTILE) else {
             return;
         };
 
         // Fallback bookkeeping runs on the median: a heavy upper tail is a
         // straggler, a displaced *median* is a broken predictor.
         match self.tracker.median() {
-            Some(m) if m > self.config.fallback_threshold => {
+            Some(m) if m > FALLBACK_THRESHOLD => {
                 self.over_threshold_streak += 1;
-                if self.over_threshold_streak >= self.config.fallback_patience.max(1) {
+                if self.over_threshold_streak >= FALLBACK_PATIENCE {
                     self.fallback_engaged = true;
                 }
             }
             _ => self.over_threshold_streak = 0,
         }
 
-        if q <= 1.0 + self.config.base {
+        if q <= 1.0 + self.base {
             // Calm: decay linearly toward — and exactly onto — the base.
-            self.margin = self.quantize(self.margin - self.config.decay);
+            self.margin = self.quantize(self.margin - DECAY);
         } else {
             // Under-prediction escaped the base cover: widen so the
             // observed quantile plus headroom fits; never narrow here.
@@ -340,7 +306,7 @@ impl AdaptiveMargin {
             // errors could overshoot one with larger errors by the
             // headroom. Keying the branch on the base keeps the margin a
             // pointwise-monotone function of the observed ratios.)
-            let target = (q - 1.0 + self.config.headroom).min(self.config.max);
+            let target = (q - 1.0 + HEADROOM).min(MAX_MARGIN);
             let widened = self.quantize(target.max(self.margin));
             if widened > self.margin {
                 self.widenings += 1;
@@ -350,13 +316,12 @@ impl AdaptiveMargin {
     }
 
     /// Snaps a margin onto the grid anchored at `base`, clamped to
-    /// `[base, max + step)`.
+    /// `[base, MAX_MARGIN + MARGIN_STEP)`.
     fn quantize(&self, m: f64) -> f64 {
-        let step = self.config.step.max(1e-6);
-        let steps = ((m - self.config.base) / step).round().max(0.0);
-        let q = self.config.base + steps * step;
-        if q > self.config.max + step {
-            self.config.max
+        let steps = ((m - self.base) / MARGIN_STEP).round().max(0.0);
+        let q = self.base + steps * MARGIN_STEP;
+        if q > MAX_MARGIN + MARGIN_STEP {
+            MAX_MARGIN
         } else {
             q
         }
@@ -366,6 +331,9 @@ impl AdaptiveMargin {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every run anchors the controller at the predictor's static margin.
+    pub(super) const BASE: f64 = crate::LatencyPredictor::DEFAULT_MARGIN;
 
     #[test]
     fn tracker_ring_overwrites_oldest() {
@@ -413,13 +381,13 @@ mod tests {
 
     #[test]
     fn margin_stays_at_base_under_noise() {
-        let mut am = AdaptiveMargin::new(AdaptiveMarginConfig::default());
+        let mut am = AdaptiveMargin::new(BASE);
         // 2 % noise around exactness: comfortably inside the 8 % base.
         for i in 0..200 {
             let r = if i % 2 == 0 { 0.98 } else { 1.02 };
             am.record(100.0, r * 100.0);
         }
-        assert_eq!(am.current(), am.config().base);
+        assert_eq!(am.current(), am.base());
         assert!(!am.fallback_engaged());
         assert_eq!(am.widenings(), 0);
         assert_eq!(am.recalibration_factor(), None);
@@ -427,14 +395,14 @@ mod tests {
 
     #[test]
     fn margin_widens_under_sustained_underprediction() {
-        let mut am = AdaptiveMargin::new(AdaptiveMarginConfig::default());
+        let mut am = AdaptiveMargin::new(BASE);
         drive(&mut am, 1.4, 64);
         assert!(
             am.current() >= 0.4,
             "a sustained 1.4x ratio must widen past 40 %, got {}",
             am.current()
         );
-        assert!(am.current() <= am.config().max + am.config().step);
+        assert!(am.current() <= MAX_MARGIN + MARGIN_STEP);
         assert!(am.widenings() > 0);
         // 1.4 is gross drift but below the 1.5 fallback threshold.
         assert!(!am.fallback_engaged());
@@ -443,17 +411,17 @@ mod tests {
 
     #[test]
     fn margin_decays_back_to_base_exactly() {
-        let mut am = AdaptiveMargin::new(AdaptiveMarginConfig::default());
+        let mut am = AdaptiveMargin::new(BASE);
         drive(&mut am, 1.6, 64);
-        assert!(am.current() > am.config().base);
+        assert!(am.current() > am.base());
         // Calm traffic: enough updates to walk the whole range down.
         drive(&mut am, 1.0, 8 * 64 * 2);
-        assert_eq!(am.current(), am.config().base, "must land exactly on base");
+        assert_eq!(am.current(), am.base(), "must land exactly on base");
     }
 
     #[test]
     fn fallback_engages_on_sustained_gross_error_and_sticks() {
-        let mut am = AdaptiveMargin::new(AdaptiveMarginConfig::default());
+        let mut am = AdaptiveMargin::new(BASE);
         drive(&mut am, 2.0, 64 * 2);
         assert!(
             am.fallback_engaged(),
@@ -465,9 +433,9 @@ mod tests {
 
     #[test]
     fn quantization_is_anchored_at_base() {
-        let am = AdaptiveMargin::new(AdaptiveMarginConfig::default());
-        let step = am.config().step;
-        let base = am.config().base;
+        let am = AdaptiveMargin::new(BASE);
+        let step = MARGIN_STEP;
+        let base = am.base();
         assert_eq!(am.quantize(base), base);
         let q = am.quantize(base + 2.6 * step);
         assert_eq!(q, base + 3.0 * step);
@@ -476,23 +444,24 @@ mod tests {
 
     #[test]
     fn no_adaptation_before_min_samples() {
-        let mut am = AdaptiveMargin::new(AdaptiveMarginConfig::default());
+        let mut am = AdaptiveMargin::new(BASE);
         drive(&mut am, 3.0, 8);
-        assert_eq!(am.current(), am.config().base);
+        assert_eq!(am.current(), am.base());
         assert_eq!(am.recalibration_factor(), None);
     }
 
     #[test]
-    fn anchored_config_rebases() {
-        let c = AdaptiveMarginConfig::anchored_at(0.12);
-        assert_eq!(c.base, 0.12);
-        assert_eq!(c.max, AdaptiveMarginConfig::default().max);
-        assert_eq!(AdaptiveMarginConfig::anchored_at(-3.0).base, 0.0);
+    fn controller_anchors_at_its_base() {
+        let am = AdaptiveMargin::new(0.12);
+        assert_eq!(am.base(), 0.12);
+        assert_eq!(am.current(), 0.12);
+        assert_eq!(AdaptiveMargin::new(-3.0).base(), 0.0);
     }
 }
 
 #[cfg(test)]
 mod properties {
+    use super::tests::BASE;
     use super::*;
     use qoserve_sim::{forall, Rng, SimRng};
 
@@ -511,8 +480,8 @@ mod properties {
             let len = rng.gen_range(1..300);
             let ratios = ratios(rng, 0.5, 3.0, len);
             let bumps = self::ratios(rng, 0.0, 1.5, 300);
-            let mut a = AdaptiveMargin::new(AdaptiveMarginConfig::default());
-            let mut b = AdaptiveMargin::new(AdaptiveMarginConfig::default());
+            let mut a = AdaptiveMargin::new(BASE);
+            let mut b = AdaptiveMargin::new(BASE);
             for (i, &r) in ratios.iter().enumerate() {
                 a.record(100.0, r * 100.0);
                 b.record(100.0, (r + bumps[i]) * 100.0);
@@ -532,7 +501,7 @@ mod properties {
     fn margin_converges_to_base_under_zero_drift() {
         forall(64, 2, |rng| {
             let len = rng.gen_range(0..200);
-            let mut am = AdaptiveMargin::new(AdaptiveMarginConfig::default());
+            let mut am = AdaptiveMargin::new(BASE);
             for r in ratios(rng, 0.1, 4.0, len) {
                 am.record(100.0, r * 100.0);
             }
@@ -540,7 +509,7 @@ mod properties {
             for _ in 0..2_000 {
                 am.record(100.0, 100.0);
             }
-            assert_eq!(am.current(), am.config().base);
+            assert_eq!(am.current(), am.base());
         });
     }
 
@@ -550,12 +519,11 @@ mod properties {
     fn margin_stays_bounded() {
         forall(64, 3, |rng| {
             let len = rng.gen_range(0..500);
-            let mut am = AdaptiveMargin::new(AdaptiveMarginConfig::default());
+            let mut am = AdaptiveMargin::new(BASE);
             for r in ratios(rng, 0.0, 50.0, len) {
                 am.record(100.0, r * 100.0);
-                let c = am.config();
-                assert!(am.current() >= c.base);
-                assert!(am.current() <= c.max + c.step);
+                assert!(am.current() >= am.base());
+                assert!(am.current() <= MAX_MARGIN + MARGIN_STEP);
             }
         });
     }

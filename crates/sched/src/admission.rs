@@ -21,18 +21,17 @@ use crate::{BatchPlan, Constraints, Scheduler};
 /// Rejected requests are never scheduled; they are returned by
 /// [`drain_pending`](Scheduler::drain_pending) so the engine accounts
 /// them as violated — exactly what a 429 means to the client.
-#[derive(Debug)]
-pub struct RateLimitScheduler<S> {
-    inner: S,
+pub struct RateLimitScheduler {
+    inner: Box<dyn Scheduler>,
     max_backlog_tokens: u64,
     rejected: Vec<PrefillJob>,
     name: String,
 }
 
-impl<S: Scheduler> RateLimitScheduler<S> {
+impl RateLimitScheduler {
     /// Wraps `inner`, rejecting arrivals once the pending backlog exceeds
     /// `max_backlog_tokens`.
-    pub fn new(inner: S, max_backlog_tokens: u64) -> Self {
+    pub fn new(inner: Box<dyn Scheduler>, max_backlog_tokens: u64) -> Self {
         let name = format!("RateLimited({})", inner.name());
         RateLimitScheduler {
             inner,
@@ -46,14 +45,9 @@ impl<S: Scheduler> RateLimitScheduler<S> {
     pub fn rejected_count(&self) -> usize {
         self.rejected.len()
     }
-
-    /// The wrapped scheduler.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
 }
 
-impl<S: Scheduler> Scheduler for RateLimitScheduler<S> {
+impl Scheduler for RateLimitScheduler {
     fn name(&self) -> &str {
         &self.name
     }
@@ -128,8 +122,8 @@ mod tests {
         }
     }
 
-    fn limited(cap: u64) -> RateLimitScheduler<SarathiScheduler> {
-        RateLimitScheduler::new(SarathiScheduler::new(OrderPolicy::Fcfs, 256), cap)
+    fn limited(cap: u64) -> RateLimitScheduler {
+        RateLimitScheduler::new(Box::new(SarathiScheduler::new(OrderPolicy::Fcfs, 256)), cap)
     }
 
     #[test]

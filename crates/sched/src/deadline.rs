@@ -17,7 +17,7 @@
 //! drift the gate tightens exactly as much as the replica actually
 //! slowed down; when calm it is a no-op beyond the static estimate.
 
-use qoserve_perf::{AdaptiveMargin, AdaptiveMarginConfig, BatchProfile, LatencyPredictor};
+use qoserve_perf::{AdaptiveMargin, BatchProfile, LatencyPredictor};
 use qoserve_sim::{SimDuration, SimTime};
 use qoserve_trace::{TraceEvent, Tracer};
 use qoserve_workload::RequestSpec;
@@ -32,9 +32,8 @@ use crate::{BatchPlan, Constraints, Scheduler};
 /// (and ride along in [`drain_pending`](Scheduler::drain_pending) when
 /// unclaimed), mirroring [`RateLimitScheduler`](crate::RateLimitScheduler)'s
 /// conservation contract: no accounting path can lose a request.
-#[derive(Debug)]
-pub struct DeadlineAwareAdmission<S> {
-    inner: S,
+pub struct DeadlineAwareAdmission {
+    inner: Box<dyn Scheduler>,
     estimator: ProcessingEstimator,
     predictor: LatencyPredictor,
     margin: AdaptiveMargin,
@@ -43,14 +42,14 @@ pub struct DeadlineAwareAdmission<S> {
     tracer: Tracer,
 }
 
-impl<S: Scheduler> DeadlineAwareAdmission<S> {
+impl DeadlineAwareAdmission {
     /// Wraps `inner`; the completion estimate derives from `predictor`
     /// (margined rates, see `ProcessingEstimator::from_predictor`) and
     /// the adaptive controller anchors at the predictor's margin.
-    pub fn new(inner: S, predictor: LatencyPredictor) -> Self {
+    pub fn new(inner: Box<dyn Scheduler>, predictor: LatencyPredictor) -> Self {
         let name = format!("DeadlineAware({})", inner.name());
         let estimator = ProcessingEstimator::from_predictor(&predictor);
-        let margin = AdaptiveMargin::new(AdaptiveMarginConfig::anchored_at(predictor.margin()));
+        let margin = AdaptiveMargin::new(predictor.margin());
         DeadlineAwareAdmission {
             inner,
             estimator,
@@ -65,11 +64,6 @@ impl<S: Scheduler> DeadlineAwareAdmission<S> {
     /// Requests rejected so far.
     pub fn rejected_count(&self) -> usize {
         self.rejected.len()
-    }
-
-    /// The wrapped scheduler.
-    pub fn inner(&self) -> &S {
-        &self.inner
     }
 
     /// The adaptive controller driving the pessimism factor (tests).
@@ -87,7 +81,7 @@ impl<S: Scheduler> DeadlineAwareAdmission<S> {
     /// it adds pessimism, so a calm system gates exactly like the static
     /// estimate.
     fn gated_service(&self, job: &PrefillJob) -> SimDuration {
-        let widened = (self.margin.current() - self.margin.config().base).max(0.0);
+        let widened = (self.margin.current() - self.margin.base()).max(0.0);
         self.estimator.service_time(job).mul_f64(1.0 + widened)
     }
 
@@ -98,7 +92,7 @@ impl<S: Scheduler> DeadlineAwareAdmission<S> {
     }
 }
 
-impl<S: Scheduler> Scheduler for DeadlineAwareAdmission<S> {
+impl Scheduler for DeadlineAwareAdmission {
     fn name(&self) -> &str {
         &self.name
     }
@@ -187,8 +181,9 @@ mod tests {
         LatencyPredictor::analytical(&HardwareConfig::llama3_8b_a100_tp1())
     }
 
-    fn gate() -> DeadlineAwareAdmission<SarathiScheduler> {
-        DeadlineAwareAdmission::new(SarathiScheduler::new(OrderPolicy::Fcfs, 256), predictor())
+    fn gate() -> DeadlineAwareAdmission {
+        let inner = Box::new(SarathiScheduler::new(OrderPolicy::Fcfs, 256));
+        DeadlineAwareAdmission::new(inner, predictor())
     }
 
     fn spec(id: u64, prompt: u32, tier: QosTier) -> RequestSpec {
@@ -251,8 +246,8 @@ mod tests {
         let specs: Vec<RequestSpec> = (0..20)
             .map(|i| spec(i, 2_000, QosTier::paper_q2()))
             .collect();
-        let mut capped =
-            RateLimitScheduler::new(SarathiScheduler::new(OrderPolicy::Fcfs, 256), 10_000);
+        let inner = Box::new(SarathiScheduler::new(OrderPolicy::Fcfs, 256));
+        let mut capped = RateLimitScheduler::new(inner, 10_000);
         let mut gated = gate();
         for s in &specs {
             capped.on_arrival(PrefillJob::new(*s), SimTime::ZERO);
@@ -281,7 +276,7 @@ mod tests {
         for _ in 0..64 {
             g.on_iteration(&batch, observed, SimTime::ZERO);
         }
-        assert!(g.adaptive_margin().current() > g.adaptive_margin().config().base);
+        assert!(g.adaptive_margin().current() > g.adaptive_margin().base());
         assert!(g.estimator().recalibration_count() > 0);
         assert!(
             g.provably_misses(&borderline(), SimTime::ZERO),

@@ -72,7 +72,7 @@ pub use policy::OrderPolicy;
 pub use qoserve::{AlphaPolicy, QoServeConfig, QoServeScheduler};
 pub use queue::JobQueue;
 pub use sarathi::SarathiScheduler;
-pub use slos_serve::{SlosServeConfig, SlosServeScheduler};
+pub use slos_serve::SlosServeScheduler;
 
 use qoserve_perf::BatchProfile;
 use qoserve_sim::{SimDuration, SimTime};

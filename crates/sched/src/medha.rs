@@ -20,20 +20,18 @@ use crate::policy::OrderPolicy;
 use crate::queue::{JobQueue, Room};
 use crate::{BatchPlan, Constraints, Scheduler};
 
-/// Configuration of [`MedhaScheduler`].
+/// Configuration of [`MedhaScheduler`]. The chunk search runs within
+/// the default [`ChunkLimits`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MedhaConfig {
     /// The constant TBT target the chunk is sized against.
     pub tbt_target: SimDuration,
-    /// Chunk search bounds.
-    pub limits: ChunkLimits,
 }
 
 impl Default for MedhaConfig {
     fn default() -> Self {
         MedhaConfig {
             tbt_target: SimDuration::from_millis(50),
-            limits: ChunkLimits::default(),
         }
     }
 }
@@ -53,7 +51,7 @@ impl MedhaScheduler {
         MedhaScheduler {
             config,
             queue: JobQueue::new(),
-            budget: ChunkBudget::new(predictor, config.limits),
+            budget: ChunkBudget::new(predictor, ChunkLimits::default()),
             last_chunk: 0,
         }
     }

@@ -21,9 +21,7 @@
 //! prefilled job simply loses the next batch to any higher-priority
 //! arrival, while decodes are never revisited at all.
 
-use qoserve_perf::{
-    AdaptiveMargin, AdaptiveMarginConfig, BatchProfile, ChunkBudget, ChunkLimits, LatencyPredictor,
-};
+use qoserve_perf::{AdaptiveMargin, BatchProfile, ChunkBudget, ChunkLimits, LatencyPredictor};
 use qoserve_sim::float::priority_micros;
 use qoserve_sim::{nums, SimDuration, SimTime};
 use qoserve_trace::{RelegationReason, TraceEvent, Tracer, RELEGATED_TIER};
@@ -75,6 +73,12 @@ impl AlphaPolicy {
     }
 }
 
+/// Backlog drain time beyond which low-priority jobs are shed
+/// preferentially (the free-tier relegation of §3.4): the strictest TTFT
+/// SLO — if the backlog already exceeds it, new interactive arrivals are
+/// doomed without shedding.
+pub(crate) const SHED_BACKLOG: SimDuration = SimDuration::from_secs(6);
+
 /// Configuration of [`QoServeScheduler`]. Feature switches exist so the
 /// ablation study (Table 5) can enable dynamic chunking, eager
 /// relegation, and hybrid prioritization one at a time.
@@ -92,19 +96,13 @@ pub struct QoServeConfig {
     pub fixed_chunk: u32,
     /// Bounds for the dynamic-chunk search.
     pub chunk_limits: ChunkLimits,
-    /// Backlog drain time beyond which low-priority jobs are shed
-    /// preferentially (the free-tier relegation of §3.4). The default is
-    /// the strictest TTFT SLO — if the backlog already exceeds it, new
-    /// interactive arrivals are doomed without shedding.
-    pub shed_backlog: SimDuration,
     /// When set, the scheduler runs the online adaptive-margin controller
     /// against per-iteration `(predicted, observed)` pairs delivered via
     /// [`Scheduler::on_iteration`]: the chunk budget's safety margin
     /// widens under misprediction, decays back when calm, and the forest
     /// predictor falls back to its analytical companion under sustained
-    /// gross error. `None` (the default) is today's static behaviour —
-    /// existing experiments are bit-identical.
-    pub adaptive: Option<AdaptiveMarginConfig>,
+    /// gross error. Off (the default) is the static margin.
+    pub adaptive: bool,
 }
 
 impl Default for QoServeConfig {
@@ -115,8 +113,7 @@ impl Default for QoServeConfig {
             dynamic_chunking: true,
             fixed_chunk: 256,
             chunk_limits: ChunkLimits::default(),
-            shed_backlog: SimDuration::from_secs(6),
-            adaptive: None,
+            adaptive: false,
         }
     }
 }
@@ -146,11 +143,11 @@ impl QoServeConfig {
     }
 
     /// The full system plus the online adaptive margin (the resilience
-    /// layer's default pipeline). The controller's base margin is
-    /// re-anchored to the predictor's margin at construction.
+    /// layer's default pipeline). The controller is anchored at the
+    /// predictor's margin at construction.
     pub fn adaptive() -> Self {
         QoServeConfig {
-            adaptive: Some(AdaptiveMarginConfig::default()),
+            adaptive: true,
             ..Default::default()
         }
     }
@@ -199,12 +196,11 @@ impl QoServeScheduler {
             AlphaPolicy::LoadAdaptive { low_ms, .. } => low_ms * 1e3,
         };
         let limits = config.chunk_limits;
-        let adaptive = config.adaptive.map(|mut cfg| {
-            // Anchor the controller at the predictor's static margin so
-            // the calm state is bit-identical to the static pipeline.
-            cfg.base = predictor.margin();
-            AdaptiveMargin::new(cfg)
-        });
+        // Anchored at the predictor's static margin, so the calm state is
+        // bit-identical to the static pipeline.
+        let adaptive = config
+            .adaptive
+            .then(|| AdaptiveMargin::new(predictor.margin()));
         QoServeScheduler {
             config,
             queue: JobQueue::new(),
@@ -259,7 +255,7 @@ impl QoServeScheduler {
     fn backlog_overloaded(&self) -> bool {
         let backlog = self.live_backlog_tokens().min(u64::from(u32::MAX));
         let drain = self.estimator.prefill_time(nums::u64_to_u32(backlog));
-        drain > self.config.shed_backlog
+        drain > SHED_BACKLOG
     }
 
     /// Computes the prefill token budget for this iteration.
@@ -797,7 +793,7 @@ mod tests {
         // keep the adaptive pipeline's budgets identical to the static one.
         let mut adaptive = sched(QoServeConfig::adaptive());
         let mut fixed = sched(QoServeConfig::default());
-        let base = adaptive.adaptive_margin().unwrap().config().base;
+        let base = adaptive.adaptive_margin().unwrap().base();
         let batch = BatchProfile::builder()
             .prefill_chunk(256, 0)
             .decodes(32, 32 * 1_000)
@@ -843,7 +839,7 @@ mod tests {
         }
         let am = s.adaptive_margin().unwrap();
         assert!(
-            am.current() > am.config().base,
+            am.current() > am.base(),
             "sustained drift must widen the margin, got {}",
             am.current()
         );

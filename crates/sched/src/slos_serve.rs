@@ -6,14 +6,15 @@
 //! `O(N · N_new · M)` scheduling cost against QoServe's `O(log N_new)`
 //! priority-queue pop. This module implements a faithful simplification:
 //!
-//! * every `replan_every` iterations, a DP over the queued requests
-//!   (sorted by deadline) and a discretised time horizon selects the
-//!   subset of requests that can still meet their deadlines, maximising
-//!   the number of attained SLOs (`dp[j][t] = max attained among the
-//!   first j jobs using t time blocks` — the classic 1‖ΣU̅ⱼ DP);
-//! * between re-plans, batches are filled in plan order with a fixed
-//!   TBT-safe token budget; unplanned jobs ride along best-effort after
-//!   the planned ones.
+//! * at every batch, a DP over the queued requests (sorted by deadline)
+//!   and a discretised time horizon (4,096 blocks of 250 ms) selects the subset of requests that can still meet their deadlines,
+//!   maximising the number of attained SLOs (`dp[j][t] = max attained
+//!   among the first j jobs using t time blocks` — the classic 1‖ΣU̅ⱼ
+//!   DP). Re-planning every batch is the most faithful and the most
+//!   expensive cadence;
+//! * batches are filled in plan order with a fixed TBT-safe token budget
+//!   of 256 tokens; unplanned jobs ride along best-effort after the
+//!   planned ones.
 //!
 //! The value of this module is two-fold: it reproduces the §4.5.3
 //! overhead comparison in the `sched_overhead` bin (DP cost grows
@@ -32,41 +33,21 @@ use crate::job::{DecodeJob, PrefillJob};
 use crate::queue::{JobQueue, Room};
 use crate::{BatchPlan, Constraints, Scheduler};
 
-/// Configuration of [`SlosServeScheduler`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SlosServeConfig {
-    /// Fixed per-iteration token budget (sized for the strictest TBT,
-    /// like the Sarathi baselines).
-    pub chunk: u32,
-    /// Iterations between DP re-plans (SLOs-Serve re-plans periodically;
-    /// 1 = every iteration, the most faithful and most expensive).
-    pub replan_every: u32,
-    /// Time-block granularity of the DP horizon.
-    pub block: SimDuration,
-    /// Maximum number of horizon blocks (bounds the DP's `M`).
-    pub max_blocks: usize,
-}
-
-impl Default for SlosServeConfig {
-    fn default() -> Self {
-        SlosServeConfig {
-            chunk: 256,
-            replan_every: 1,
-            block: SimDuration::from_millis(250),
-            max_blocks: 4_096,
-        }
-    }
-}
+/// Fixed per-iteration token budget (sized for the strictest TBT, like
+/// the Sarathi baselines).
+pub(crate) const CHUNK: u32 = 256;
+/// Time-block granularity of the DP horizon.
+pub(crate) const BLOCK: SimDuration = SimDuration::from_millis(250);
+/// Maximum number of horizon blocks (bounds the DP's `M`).
+pub(crate) const MAX_BLOCKS: usize = 4_096;
 
 /// Periodic-DP scheduler modelling SLOs-Serve.
 #[derive(Debug)]
 pub struct SlosServeScheduler {
-    config: SlosServeConfig,
     estimator: ProcessingEstimator,
     /// Queued jobs keyed by their rank in the current plan (planned
     /// attainable first, then best-effort), re-keyed at every re-plan.
     queue: JobQueue,
-    iterations_since_plan: u32,
     /// DP cell count of the last re-plan (complexity diagnostics).
     last_dp_cells: u64,
 }
@@ -74,12 +55,10 @@ pub struct SlosServeScheduler {
 impl SlosServeScheduler {
     /// Creates the scheduler; the predictor seeds the service-time
     /// estimator exactly as QoServe's does.
-    pub fn new(config: SlosServeConfig, predictor: LatencyPredictor) -> Self {
+    pub fn new(predictor: LatencyPredictor) -> Self {
         SlosServeScheduler {
-            config,
             estimator: ProcessingEstimator::from_predictor(&predictor),
             queue: JobQueue::new(),
-            iterations_since_plan: u32::MAX, // force a plan on first batch
             last_dp_cells: 0,
         }
     }
@@ -100,8 +79,8 @@ impl SlosServeScheduler {
         let mut candidates: Vec<&PrefillJob> = self.queue.iter().collect();
         candidates.sort_by_key(|j| (j.urgency_deadline(), j.id()));
 
-        let block_us = self.config.block.as_micros().max(1);
-        let horizon_blocks = self.config.max_blocks;
+        let block_us = BLOCK.as_micros();
+        let horizon_blocks = MAX_BLOCKS;
         let service_blocks = |job: &PrefillJob| {
             let us = self
                 .estimator
@@ -166,7 +145,6 @@ impl SlosServeScheduler {
             .map(|(&id, rank)| (id, rank))
             .collect();
         self.queue.rekey(|job| rank[&job.id()]);
-        self.iterations_since_plan = 0;
     }
 }
 
@@ -176,10 +154,8 @@ impl Scheduler for SlosServeScheduler {
     }
 
     fn on_arrival(&mut self, job: PrefillJob, _now: SimTime) {
-        // Unranked until the re-plan this arrival forces at the next
-        // batch boundary.
+        // Unranked until the next batch re-plans.
         self.queue.push(job, i64::MAX);
-        self.iterations_since_plan = u32::MAX;
     }
 
     fn plan_batch(
@@ -188,15 +164,8 @@ impl Scheduler for SlosServeScheduler {
         decodes: &[DecodeJob],
         constraints: Constraints,
     ) -> BatchPlan {
-        if self.iterations_since_plan >= self.config.replan_every {
-            self.replan(now);
-        }
-        self.iterations_since_plan = self.iterations_since_plan.saturating_add(1);
-
-        let budget = self
-            .config
-            .chunk
-            .saturating_sub(nums::usize_to_u32(decodes.len()));
+        self.replan(now);
+        let budget = CHUNK.saturating_sub(nums::usize_to_u32(decodes.len()));
         let mut plan = BatchPlan {
             prefill: Vec::new(),
             token_budget: budget,
@@ -238,10 +207,9 @@ mod tests {
     use qoserve_workload::{QosTier, Slo};
 
     fn sched() -> SlosServeScheduler {
-        SlosServeScheduler::new(
-            SlosServeConfig::default(),
-            LatencyPredictor::analytical(&HardwareConfig::llama3_8b_a100_tp1()),
-        )
+        SlosServeScheduler::new(LatencyPredictor::analytical(
+            &HardwareConfig::llama3_8b_a100_tp1(),
+        ))
     }
 
     fn spec(id: u64, arrival_secs: f64, prompt: u32, tier: QosTier) -> RequestSpec {

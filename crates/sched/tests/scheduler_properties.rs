@@ -16,7 +16,7 @@ use qoserve_perf::{HardwareConfig, LatencyPredictor};
 use qoserve_sched::{
     ConServeScheduler, Constraints, DecodeJob, MedhaConfig, MedhaScheduler, OrderPolicy,
     PrefillJob, QoServeConfig, QoServeScheduler, RateLimitScheduler, SarathiScheduler, Scheduler,
-    SlosServeConfig, SlosServeScheduler,
+    SlosServeScheduler,
 };
 use qoserve_sim::{forall, Rng, SimRng, SimTime};
 use qoserve_workload::{QosTier, RequestId, RequestSpec, Slo};
@@ -37,12 +37,9 @@ fn all_schedulers() -> Vec<Box<dyn Scheduler>> {
             predictor(),
         )),
         Box::new(MedhaScheduler::new(MedhaConfig::default(), predictor())),
-        Box::new(SlosServeScheduler::new(
-            SlosServeConfig::default(),
-            predictor(),
-        )),
+        Box::new(SlosServeScheduler::new(predictor())),
         Box::new(RateLimitScheduler::new(
-            SarathiScheduler::new(OrderPolicy::Fcfs, 256),
+            Box::new(SarathiScheduler::new(OrderPolicy::Fcfs, 256)),
             200_000,
         )),
         Box::new(ConServeScheduler::new(512)),

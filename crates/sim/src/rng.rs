@@ -43,11 +43,6 @@ impl SeedStream {
         SeedStream { root: seed }
     }
 
-    /// The root seed this family was created with.
-    pub fn root_seed(&self) -> u64 {
-        self.root
-    }
-
     /// Derives an independent RNG for `label`.
     ///
     /// The same `(seed, label)` pair always yields the same stream; distinct

@@ -99,31 +99,16 @@ impl LatenessCause {
 /// Aggregation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsConfig {
-    /// Sim-time between snapshot boundaries (clamped to ≥ 1 µs).
+    /// Sim-time between snapshot boundaries, and the width of the rolling
+    /// windows inside each frame (attainment, queue depth, chunk budget);
+    /// clamped to ≥ 1 µs.
     pub cadence: SimDuration,
-    /// Width of the rolling windows inside each frame (attainment,
-    /// queue depth, chunk budget; clamped to ≥ 1 µs).
-    pub window: SimDuration,
-}
-
-impl Default for StatsConfig {
-    /// The paper's reporting scale: 60 s windows, one snapshot per
-    /// window.
-    fn default() -> Self {
-        StatsConfig {
-            cadence: SimDuration::from_secs(60),
-            window: SimDuration::from_secs(60),
-        }
-    }
 }
 
 impl StatsConfig {
-    /// A config with the same cadence and window length.
+    /// A config with one snapshot per rolling window of `cadence`.
     pub fn every(cadence: SimDuration) -> StatsConfig {
-        StatsConfig {
-            cadence,
-            window: cadence,
-        }
+        StatsConfig { cadence }
     }
 }
 
@@ -151,8 +136,8 @@ struct InFlight {
 /// directly from a captured trace.
 #[derive(Debug)]
 pub struct StatsAggregator {
+    /// The boundary cadence, which is also the rolling-window width.
     cadence_us: u64,
-    window_us: u64,
     /// Buffered `(record, drops_attributed)` pairs awaiting a boundary.
     pending: Vec<(TraceRecord, u64)>,
     inflight: BTreeMap<u64, InFlight>,
@@ -178,7 +163,6 @@ impl StatsAggregator {
     pub fn new(config: StatsConfig) -> StatsAggregator {
         StatsAggregator {
             cadence_us: config.cadence.as_micros().max(1),
-            window_us: config.window.as_micros().max(1),
             pending: Vec::new(),
             inflight: BTreeMap::new(),
             outstanding: BTreeMap::new(),
@@ -325,7 +309,7 @@ impl StatsAggregator {
 
     fn new_tier(&self) -> TierStats {
         TierStats {
-            attainment: WindowedCounts::new(self.window_us),
+            attainment: WindowedCounts::new(self.cadence_us),
             ..TierStats::default()
         }
     }
@@ -342,7 +326,7 @@ impl StatsAggregator {
         frame: &'a mut StatsFrame,
         replica: u32,
     ) -> &'a mut crate::snapshot::ReplicaStats {
-        let window_us = self.window_us;
+        let window_us = self.cadence_us;
         frame
             .replicas
             .entry(replica)
@@ -384,7 +368,7 @@ impl StatsAggregator {
         frame
             .cause_windows
             .entry(label.to_owned())
-            .or_insert_with(|| WindowedCounts::new(self.window_us))
+            .or_insert_with(|| WindowedCounts::new(self.cadence_us))
             .record(time_us, false);
     }
 
@@ -443,7 +427,7 @@ impl StatsAggregator {
                                 .tiers
                                 .entry(f.tier)
                                 .or_insert_with(|| TierStats {
-                                    attainment: WindowedCounts::new(self.window_us),
+                                    attainment: WindowedCounts::new(self.cadence_us),
                                     ..TierStats::default()
                                 })
                                 .ttft_us

@@ -18,11 +18,11 @@
 //!   [`qoserve_trace::ControlObserver`] implementation the cluster
 //!   kernels drive at deterministic sim-time cadence boundaries.
 //!   Observation is contractually invisible: a stats-enabled run's
-//!   outcomes are bit-identical to the unstatted path.
-//! * [`StatsServer`] — the in-process typed endpoint
-//!   (`query(StatsQuery) -> StatsReply`) plus the JSONL snapshot
-//!   stream ([`stream_to_jsonl`] / [`stream_from_jsonl`]) that
-//!   `qoservetop` renders live or in replay.
+//!   outcomes are bit-identical to the unstatted path. Its readers
+//!   ([`StatsHandle::full`], [`StatsHandle::deltas_since`]) observe the
+//!   last folded boundary, never a half-folded window.
+//! * The JSONL snapshot stream ([`stream_to_jsonl`] /
+//!   [`stream_from_jsonl`]) that `qoservetop` renders live or in replay.
 //!
 //! The snapshot schema is versioned ([`SNAPSHOT_SCHEMA_VERSION`]) and
 //! schema-tolerant: every container tolerates missing and unknown
@@ -45,12 +45,10 @@
 
 pub mod aggregate;
 pub mod live;
-pub mod server;
 pub mod snapshot;
 
 pub use aggregate::{LatenessCause, StatsAggregator, StatsConfig};
 pub use live::{stats_only_sink, StatsHandle};
-pub use server::{StatsMeta, StatsQuery, StatsReply, StatsServer};
 pub use snapshot::{
     compose, stream_from_jsonl, stream_to_jsonl, FleetStats, ReplicaStats, SnapshotStream,
     StatsDelta, StatsFrame, StatsSnapshot, TierStats, SNAPSHOT_SCHEMA_VERSION,

@@ -246,9 +246,7 @@ fn scheduler_decisions_are_pinned() {
         ),
         (
             "SLOs-Serve",
-            SchedulerSpec::SlosServe {
-                config: SlosServeConfig::default(),
-            },
+            SchedulerSpec::SlosServe,
             0xafb8_2b12_d116_6915,
             0x2a4d_b83d_4235_eeac,
         ),
@@ -337,7 +335,6 @@ fn elastic_kernel_is_pinned() {
             up_streak: 2,
             down_streak: 4,
             cooldown: SimDuration::from_secs(45),
-            ..AutoscaleConfig::default()
         }),
     };
     // At the moderate rates no crash fires in this 16-minute wave; at 4×
@@ -439,8 +436,7 @@ fn redispatch_branches_are_pinned() {
             .tier_mix(TierMix::paper_equal())
             .low_priority_fraction(0.2)
             .build(&SeedStream::new(41));
-        let plan = FaultPlan::with_faults(FaultConfig::moderate().scaled(2.0))
-            .with_breaker(BreakerConfig::default());
+        let plan = FaultPlan::with_faults(FaultConfig::moderate().scaled(2.0)).with_breaker();
         run_shared_elastic(
             &trace,
             4,

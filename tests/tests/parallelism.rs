@@ -196,9 +196,7 @@ fn repeated_runs_emit_outcomes_in_identical_order() {
 
     for spec in [
         SchedulerSpec::qoserve(),
-        SchedulerSpec::SlosServe {
-            config: SlosServeConfig::default(),
-        },
+        SchedulerSpec::SlosServe,
         SchedulerSpec::sarathi_edf(),
     ] {
         let run_once = || {

@@ -83,7 +83,7 @@ fn adaptive_pipeline_is_bit_identical_to_static_without_faults() {
         3,
         &SchedulerSpec::deadline_aware(SchedulerSpec::qoserve_adaptive()),
         &config,
-        &FaultPlan::none().with_breaker(BreakerConfig::default()),
+        &FaultPlan::none().with_breaker(),
         &ElasticPlan::none(),
         &SeedStream::new(51),
     )
@@ -135,8 +135,7 @@ fn resilience_runs_are_thread_invariant() {
         .low_priority_fraction(0.3)
         .build(&SeedStream::new(53));
     let config = ClusterConfig::new(HardwareConfig::llama3_8b_a100_tp1());
-    let plan = FaultPlan::with_faults(FaultConfig::moderate().scaled(2.0))
-        .with_breaker(BreakerConfig::default());
+    let plan = FaultPlan::with_faults(FaultConfig::moderate().scaled(2.0)).with_breaker();
     let schemes = vec![
         SchedulerSpec::qoserve_adaptive(),
         SchedulerSpec::deadline_aware(SchedulerSpec::qoserve_adaptive()),
@@ -208,7 +207,7 @@ fn no_request_lost_while_breakers_are_open() {
         }
         faults.straggler_rate_per_hour = straggler_rate;
         faults.straggler_factor = straggler_factor;
-        let plan = FaultPlan::with_faults(faults).with_breaker(BreakerConfig::default());
+        let plan = FaultPlan::with_faults(faults).with_breaker();
 
         let run = || {
             run_shared_elastic(

@@ -13,13 +13,12 @@
 //! 3. **Delta composition**: the per-boundary deltas merge left-to-right
 //!    into exactly the final full snapshot, and the JSONL round-trips
 //!    losslessly with the schema version checked on load.
-//! 4. **Typed endpoint**: `StatsServer` answers queries over a real run
-//!    consistently with the handle's own snapshot state.
+//! 4. **Handle readers**: the handle's cadence, finished flag and
+//!    deltas agree with its own full snapshot over a real run.
 
 use qoserve::prelude::*;
 use qoserve_stats::{
-    compose, stream_from_jsonl, stream_to_jsonl, StatsConfig, StatsHandle, StatsQuery, StatsReply,
-    StatsServer, SNAPSHOT_SCHEMA_VERSION,
+    compose, stream_from_jsonl, stream_to_jsonl, StatsConfig, StatsHandle, SNAPSHOT_SCHEMA_VERSION,
 };
 use qoserve_trace::{to_jsonl, RingSink, Tracer};
 
@@ -281,46 +280,17 @@ fn capture_ring_drops_surface_in_the_snapshot() {
     );
 }
 
+/// The handle's own readers over a real run: its cadence, the finished
+/// flag after the final fold, and every delta since sequence 0 composing
+/// to the full snapshot.
 #[test]
-fn stats_server_answers_queries_over_a_real_run() {
+fn stats_handle_answers_over_a_real_run() {
     let (_, stats) = run_observed(76, SimDuration::from_secs(5), false);
-    let full = stats.full();
-    let server = StatsServer::new(stats);
-
-    let StatsReply::Meta(meta) = server.query(&StatsQuery::Meta) else {
-        panic!("meta reply shape");
-    };
-    assert_eq!(meta.version, SNAPSHOT_SCHEMA_VERSION);
-    assert_eq!(meta.cadence_us, 5_000_000);
-    assert!(meta.finished);
-    assert_eq!(meta.snapshots, full.seq);
-
-    let StatsReply::Full(served) = server.query(&StatsQuery::Full) else {
-        panic!("full reply shape");
-    };
-    assert_eq!(*served, full);
-
-    let (&tier, tier_stats) = full.frame.tiers.first_key_value().expect("completions");
-    let StatsReply::Tier(Some(t)) = server.query(&StatsQuery::Tier { tier }) else {
-        panic!("tier reply shape");
-    };
-    assert_eq!(&t, tier_stats);
-    assert!(matches!(
-        server.query(&StatsQuery::Tier { tier: 200 }),
-        StatsReply::Tier(None)
-    ));
-    assert!(matches!(
-        server.query(&StatsQuery::Replica { replica: 9_999 }),
-        StatsReply::Replica(None)
-    ));
-
-    let StatsReply::Deltas(deltas) = server.query(&StatsQuery::DeltasSince { since_seq: 0 }) else {
-        panic!("deltas reply shape");
-    };
-    assert_eq!(compose(&deltas), full, "served deltas compose to full");
-
-    let StatsReply::Fleet(fleet) = server.query(&StatsQuery::Fleet) else {
-        panic!("fleet reply shape");
-    };
-    assert_eq!(fleet, full.frame.fleet);
+    assert_eq!(stats.cadence_us(), 5_000_000);
+    assert!(stats.finished());
+    assert_eq!(
+        compose(&stats.deltas_since(0)),
+        stats.full(),
+        "deltas since 0 compose to full"
+    );
 }
