@@ -1,13 +1,17 @@
 //! Fault sweep: goodput vs fault intensity under failure recovery.
 //!
-//! Injects a deterministic fault timeline — replica crashes (with and
-//! without restart), straggler windows, predictor drift — at increasing
-//! intensity into a shared cluster, and compares how each scheme's
-//! goodput degrades when the recovery loop (re-dispatch with bounded
-//! retries, re-prefill, tier-aware shedding) is doing the serving. The
-//! paper's graceful-degradation argument (§3.3) predicts QoServe should
-//! lose mostly low-priority traffic where importance-blind baselines lose
-//! uniformly.
+//! Injects a deterministic fault timeline — replica crashes, straggler
+//! windows, predictor drift — at increasing intensity into a shared
+//! cluster, and compares how each scheme's goodput degrades when the
+//! recovery loop (re-dispatch with bounded retries, re-prefill, tier-aware
+//! shedding) is doing the serving. The paper's graceful-degradation
+//! argument (§3.3) predicts QoServe should lose mostly low-priority
+//! traffic where importance-blind baselines lose uniformly.
+//!
+//! The timeline is `FaultConfig::moderate()` with its rates scaled by the
+//! intensity, as in every bin that injects faults, so every crash
+//! restarts after 30 s. Only tests reach the permanent-loss path (a crash
+//! with no restart).
 
 use qoserve::experiments::{fault_sweep, FaultSweepSetup};
 use qoserve::prelude::*;

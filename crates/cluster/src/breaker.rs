@@ -163,7 +163,7 @@ impl CircuitBreaker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qoserve_engine::{HealthRing, HealthSample, HealthSnapshot, ReplicaState, HEALTH_WINDOW};
+    use qoserve_engine::{HealthRing, HealthSample, HealthSnapshot, HEALTH_WINDOW};
 
     fn snapshot(ratio: f64, window: usize) -> HealthSnapshot {
         let mut ring = HealthRing::new();
@@ -171,11 +171,9 @@ mod tests {
             ring.record(HealthSample {
                 degraded: ratio > 1.0,
                 ratio,
-                tokens: 100,
-                exec_us: 1_000,
             });
         }
-        HealthSnapshot::from_ring(&ring, 0, ReplicaState::Up, window as u64, 0, 0)
+        HealthSnapshot::from_ring(&ring, 0)
     }
 
     /// A full ring where only `degraded` of the samples are still inside
@@ -187,11 +185,9 @@ mod tests {
             ring.record(HealthSample {
                 degraded: bad,
                 ratio: if bad { ratio } else { 1.0 },
-                tokens: 100,
-                exec_us: 1_000,
             });
         }
-        HealthSnapshot::from_ring(&ring, 0, ReplicaState::Up, HEALTH_WINDOW as u64, 0, 0)
+        HealthSnapshot::from_ring(&ring, 0)
     }
 
     fn secs(s: u64) -> SimTime {

@@ -6,65 +6,25 @@
 //!
 //! * **Held requests** (recalled once the fleet first moves) go
 //!   round-robin over the serving slots.
-//! * **Orphans** go round-robin over the slots that are both serving and
-//!   up in the fault schedule at their re-dispatch instant. When too
-//!   little is left of the slots the fleet holds or has lost to crashes,
-//!   a low-priority orphan is shed instead — the tier-aware shed of §3.3,
-//!   which measures capacity loss, so a slot lost for good still counts
-//!   against it. Otherwise the circuit
-//!   breakers filter the candidates *softly*: the pick prefers slots whose
-//!   breaker allows work and falls back to every candidate when none does,
-//!   so a breaker may delay work, never strand it.
+//! * **Orphans** go round-robin over the serving slots whose replica is
+//!   up at their re-dispatch instant, as the slot's own crash timeline
+//!   tells (`Slot::up_at`). When too little is left of the slots the
+//!   fleet holds or has lost to crashes, a low-priority orphan is shed
+//!   instead — the tier-aware shed of §3.3, which measures capacity loss,
+//!   so a slot lost for good still counts against it. Otherwise the
+//!   circuit breakers filter the candidates *softly*: the pick prefers
+//!   slots whose breaker allows work and falls back to every candidate
+//!   when none does, so a breaker may delay work, never strand it.
 //!
 //! Held requests and orphans keep separate cursors: each stream rotates
 //! over its own targets, as the round-robin balancer of §4.1.1 does.
 //! Serving means a slot in the serving phase, so provisioning, warming,
 //! draining, idle and lost slots take no work.
 
-use qoserve_sim::faults::FaultSchedule;
 use qoserve_sim::{nums, SimTime};
 use qoserve_workload::Priority;
 
-use crate::breaker::CircuitBreaker;
-use crate::recovery::SHED_BELOW_UP_FRACTION;
-
-/// Piecewise-constant cache of [`FaultSchedule::up_replicas_at`]: the
-/// up-set only changes at crash/restart instants, so re-dispatch stops
-/// rescanning the whole fault timeline per orphan and binary-searches a
-/// precomputed interval table instead.
-struct UpSetIndex {
-    /// Sorted instants where some replica goes down or comes back;
-    /// `sets[i]` holds on `[starts[i], starts[i + 1])`.
-    starts: Vec<SimTime>,
-    sets: Vec<Vec<u32>>,
-}
-
-impl UpSetIndex {
-    fn build(schedule: &FaultSchedule, replicas: u32) -> Self {
-        let mut starts = vec![SimTime::ZERO];
-        for r in 0..replicas {
-            for c in schedule.crashes_for(r) {
-                starts.push(c.at);
-                if let Some(restart) = c.restart_at {
-                    starts.push(restart);
-                }
-            }
-        }
-        starts.sort_unstable();
-        starts.dedup();
-        // Crash and restart both take effect *at* their instant
-        // (left-closed intervals), so evaluating the schedule at each
-        // boundary covers everything up to the next one.
-        let sets = starts.iter().map(|&t| schedule.up_replicas_at(t)).collect();
-        UpSetIndex { starts, sets }
-    }
-
-    /// Exactly `schedule.up_replicas_at(t)`, precomputed.
-    fn up_at(&self, t: SimTime) -> &[u32] {
-        let i = self.starts.partition_point(|&s| s <= t).saturating_sub(1);
-        &self.sets[i]
-    }
-}
+use crate::recovery::{Slot, SHED_BELOW_UP_FRACTION};
 
 /// Where an orphan goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,22 +37,13 @@ pub(crate) struct Placement {
 }
 
 /// The one owner of placement after the static pre-assignment.
+#[derive(Default)]
 pub(crate) struct Dispatcher {
-    up: UpSetIndex,
     held_cursor: u64,
     orphan_cursor: u64,
 }
 
 impl Dispatcher {
-    /// A dispatcher over `slots` slots whose outages `schedule` fixes.
-    pub(crate) fn new(schedule: &FaultSchedule, slots: u32) -> Self {
-        Dispatcher {
-            up: UpSetIndex::build(schedule, slots),
-            held_cursor: 0,
-            orphan_cursor: 0,
-        }
-    }
-
     /// The next held request's slot, round-robin over `serving` (sorted
     /// ascending); `None` when nothing serves.
     pub(crate) fn held(&mut self, serving: &[u32]) -> Option<u32> {
@@ -106,34 +57,30 @@ impl Dispatcher {
     }
 
     /// Places an orphan of `priority` re-dispatched at `at`, or `None`
-    /// to shed it: no candidate (a serving slot that is up at `at`)
-    /// exists, or it is low priority and the candidates are fewer than
-    /// `SHED_BELOW_UP_FRACTION` of the `held_or_lost` slots (every slot
-    /// the fleet holds, plus those lost to a crash with no restart).
-    /// `breaker` reads a slot's circuit breaker, if it has one.
-    pub(crate) fn orphan<'b>(
+    /// to shed it: no candidate (a serving slot whose replica is up at
+    /// `at`) exists, or it is low priority and the candidates are fewer
+    /// than `SHED_BELOW_UP_FRACTION` of the `held_or_lost` slots (every
+    /// slot the fleet holds, plus those lost to a crash with no restart).
+    /// `slots` are the kernel's, indexed by slot number.
+    pub(crate) fn orphan(
         &mut self,
         serving: &[u32],
         held_or_lost: u32,
         priority: Priority,
         at: SimTime,
-        breaker: impl Fn(u32) -> Option<&'b CircuitBreaker>,
+        slots: &[Slot],
     ) -> Option<Placement> {
-        let up = self.up.up_at(at);
-        let candidates = || {
-            up.iter()
-                .copied()
-                .filter(|r| serving.binary_search(r).is_ok())
-        };
-        // Serving filter before the fraction: a slot the schedule has up
-        // but the control plane holds idle or warming neither takes work
-        // nor counts as surviving capacity.
+        let slot_of = |r: u32| &slots[nums::u32_to_usize(r)];
+        let candidates = || serving.iter().copied().filter(|&r| slot_of(r).up_at(at));
+        // Serving filter before the fraction: a slot whose replica is up
+        // but which the control plane holds idle or warming neither takes
+        // work nor counts as surviving capacity.
         let total = candidates().count();
         let up_fraction = total as f64 / f64::from(held_or_lost.max(1));
         if total == 0 || (up_fraction < SHED_BELOW_UP_FRACTION && priority == Priority::Low) {
             return None;
         }
-        let allows = |r: u32| breaker(r).is_none_or(|b| b.allows(at));
+        let allows = |r: u32| slot_of(r).breaker.as_ref().is_none_or(|b| b.allows(at));
         let allowed = candidates().filter(|&r| allows(r)).count();
         let diverted = allowed > 0 && allowed < total;
         let pool = if diverted { allowed } else { total };
@@ -147,9 +94,11 @@ impl Dispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breaker::CircuitBreaker;
     use crate::elastic::{serving, Phase};
-    use qoserve_engine::{HealthRing, HealthSample, HealthSnapshot, ReplicaState, HEALTH_WINDOW};
-    use qoserve_sim::faults::FaultConfig;
+    use crate::recovery::tests::{is_up_at, slot};
+    use qoserve_engine::{HealthRing, HealthSample, HealthSnapshot, HEALTH_WINDOW};
+    use qoserve_sim::faults::{FaultConfig, FaultSchedule};
     use qoserve_sim::{forall, Rng, SeedStream, SimDuration};
 
     /// The code the dispatcher replaced, kept as the reference it is
@@ -158,7 +107,8 @@ mod tests {
     /// shed, then breaker-aware round-robin) and the incremental fleet
     /// router that placed held requests. The old selection also had a
     /// lifecycle stage of its own; its only caller passed no states, so
-    /// it was the identity and is left out.
+    /// it was the identity and is left out. The up-set is the schedule's
+    /// outage rule as it was ([`is_up_at`]) over every replica.
     mod reference {
         use super::*;
 
@@ -236,9 +186,8 @@ mod tests {
             rotation: &mut u64,
             at: SimTime,
         ) -> Option<(u32, bool)> {
-            let up: Vec<u32> = schedule
-                .up_replicas_at(at)
-                .into_iter()
+            let up: Vec<u32> = (0..schedule.replicas())
+                .filter(|&r| is_up_at(&schedule.crashes_for(r), at))
                 .filter(|&r| states.get(r as usize).is_none_or(|s| s.admits()))
                 .collect();
             let up_fraction = up.len() as f64 / fleet_size.max(1) as f64;
@@ -270,11 +219,9 @@ mod tests {
             ring.record(HealthSample {
                 degraded: true,
                 ratio: 3.0,
-                tokens: 100,
-                exec_us: 1_000,
             });
         }
-        HealthSnapshot::from_ring(&ring, 0, ReplicaState::Up, HEALTH_WINDOW as u64, 0, 0)
+        HealthSnapshot::from_ring(&ring, 0)
     }
 
     fn secs(s: u64) -> SimTime {
@@ -338,10 +285,13 @@ mod tests {
                     }
                 })
                 .collect();
+            let slots: Vec<Slot> = (0..n)
+                .map(|r| slot(schedule.crashes_for(r), breakers[r as usize].clone()))
+                .collect();
             let serving = serving(&phases);
             let states = reference::states(&phases);
             assert_eq!(serving, reference::admitted(&states));
-            let mut dispatcher = Dispatcher::new(&schedule, n);
+            let mut dispatcher = Dispatcher::default();
             let (mut held_cursor, mut rotation) = (0, 0);
             for _ in 0..rng.gen_range(1..40) {
                 if rng.gen_range(0..3) == 0 {
@@ -356,9 +306,7 @@ mod tests {
                 } else {
                     Priority::Important
                 };
-                let placed = dispatcher.orphan(&serving, held_or_lost, priority, at, |r| {
-                    breakers[r as usize].as_ref()
-                });
+                let placed = dispatcher.orphan(&serving, held_or_lost, priority, at, &slots);
                 let expected = reference::orphan(
                     &schedule,
                     &states,
@@ -373,7 +321,7 @@ mod tests {
                 let candidates: Vec<u32> = serving
                     .iter()
                     .copied()
-                    .filter(|&r| schedule.is_up_at(r, at))
+                    .filter(|&r| is_up_at(&schedule.crashes_for(r), at))
                     .collect();
                 let allows = |r: u32| breakers[r as usize].as_ref().is_none_or(|b| b.allows(at));
                 if priority == Priority::Important {

@@ -59,7 +59,7 @@ use std::collections::BTreeMap;
 
 use qoserve_engine::{OrphanedJob, ReplicaEngine};
 use qoserve_metrics::{Disposition, RequestOutcome};
-use qoserve_sim::faults::FaultSchedule;
+use qoserve_sim::faults::{CrashEvent, FaultSchedule};
 use qoserve_sim::nums;
 use qoserve_sim::{SeedStream, SimDuration, SimTime};
 use qoserve_trace::{ControlObserver, FaultKind, ScaleDirection, TraceEvent, Tracer};
@@ -93,9 +93,9 @@ pub struct ElasticRunResult {
     pub fleet: Vec<(SimTime, u32)>,
 }
 
-/// Where one slot is in the replica lifecycle. The engine-facing
-/// states (`Up`/`Degraded`/`Down`) stay inside the engine; these phases
-/// are the cluster-side control-plane view.
+/// Where one slot is in the replica lifecycle, as the control plane
+/// sees it. Whether the replica is up is its slot's crash timeline's
+/// answer, not a phase: a serving slot may be crashed and restarting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Phase {
     /// Unprovisioned slot (or retired replica); holds no capacity.
@@ -293,18 +293,11 @@ pub fn run_shared_elastic(
     elastic: &ElasticPlan,
     seeds: &SeedStream,
 ) -> Result<ElasticRunResult, RouterError> {
-    run_elastic_inner(
-        trace,
-        replicas,
-        scheduler,
-        config,
-        plan,
-        elastic,
-        seeds,
-        &Tracer::disabled(),
-        None,
-        ExecMode::Sharded,
-    )
+    let tracer = Tracer::disabled();
+    let k = Kernel::new(
+        trace, replicas, scheduler, config, plan, elastic, seeds, &tracer,
+    )?;
+    Ok(drive(k, trace.len(), None, ExecMode::Sharded))
 }
 
 /// [`run_shared_elastic`] with a decision [`Tracer`] installed on every
@@ -340,18 +333,10 @@ pub fn run_shared_elastic_observed(
     tracer: &Tracer,
     observer: Option<&dyn ControlObserver>,
 ) -> Result<ElasticRunResult, RouterError> {
-    run_elastic_inner(
-        trace,
-        replicas,
-        scheduler,
-        config,
-        plan,
-        elastic,
-        seeds,
-        tracer,
-        observer,
-        ExecMode::Sharded,
-    )
+    let k = Kernel::new(
+        trace, replicas, scheduler, config, plan, elastic, seeds, tracer,
+    )?;
+    Ok(drive(k, trace.len(), observer, ExecMode::Sharded))
 }
 
 /// [`run_shared_elastic_observed`] on the min-now lockstep kernel: a
@@ -375,18 +360,10 @@ pub fn run_shared_elastic_observed_lockstep(
     tracer: &Tracer,
     observer: Option<&dyn ControlObserver>,
 ) -> Result<ElasticRunResult, RouterError> {
-    run_elastic_inner(
-        trace,
-        replicas,
-        scheduler,
-        config,
-        plan,
-        elastic,
-        seeds,
-        tracer,
-        observer,
-        ExecMode::Lockstep,
-    )
+    let k = Kernel::new(
+        trace, replicas, scheduler, config, plan, elastic, seeds, tracer,
+    )?;
+    Ok(drive(k, trace.len(), observer, ExecMode::Lockstep))
 }
 
 /// Which kernel drives a run.
@@ -400,32 +377,20 @@ enum ExecMode {
     Lockstep,
 }
 
-/// The kernel loop. Each pass either fires an observation boundary,
-/// processes a control instant, or takes one min-now lockstep step
-/// (handling a crash when the step halts on one). In sharded mode every
-/// resync first advances all runnable replicas in parallel up to the
-/// next barrier — the earliest pending crash, control instant, or
-/// observation boundary — so the lockstep steps only cover barrier
-/// neighbourhoods. See the module docs for the synchronization argument.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "each argument is an independent run input: trace, fleet, scheduler, faults, scaling, seeds and observation"
-)]
-fn run_elastic_inner(
-    trace: &Trace,
-    replicas: u32,
-    scheduler: &SchedulerSpec,
-    config: &ClusterConfig,
-    plan: &FaultPlan,
-    elastic: &ElasticPlan,
-    seeds: &SeedStream,
-    tracer: &Tracer,
+/// The kernel loop over a run of `requests` requests. Each pass either
+/// fires an observation boundary, processes a control instant, or takes
+/// one min-now lockstep step (handling the picked slot's crash instead
+/// when it is due). In sharded mode every resync first advances all
+/// runnable replicas in parallel up to the next barrier — the earliest
+/// pending crash, control instant, or observation boundary — so the
+/// lockstep steps only cover barrier neighbourhoods. See the module docs
+/// for the synchronization argument.
+fn drive(
+    mut k: Kernel<'_>,
+    requests: usize,
     observer: Option<&dyn ControlObserver>,
     mode: ExecMode,
-) -> Result<ElasticRunResult, RouterError> {
-    let mut k = Kernel::new(
-        trace, replicas, scheduler, config, plan, elastic, seeds, tracer,
-    )?;
+) -> ElasticRunResult {
     let sharded = matches!(mode, ExecMode::Sharded);
     let mut resync = sharded;
     // Observation boundaries are barrier instants of their own; they
@@ -460,7 +425,7 @@ fn run_elastic_inner(
         // tick forever (boundaries never run out).
         if let (Some(obs), Some(t)) = (observer, next_obs) {
             if min_runnable.is_some_and(|m| m >= t) {
-                tracer.flush();
+                k.tracer.flush();
                 obs.boundary(t);
                 next_obs = obs.next_boundary(t);
                 resync = sharded;
@@ -488,29 +453,30 @@ fn run_elastic_inner(
                 break; // nothing runnable and no control pending
             };
             let slot = &mut k.slots[idx];
-            if slot.engine.step() {
+            // A crash due at the slot's clock is handled instead of a step.
+            if let Some(crash) = slot.crash_due(k.config.horizon) {
+                k.handle_crash(idx, crash);
+            } else if slot.engine.step() {
                 if let Some(b) = slot.breaker.as_mut() {
                     // Health reads are pure: observing never perturbs the
                     // engine's own timeline.
                     b.observe(&slot.engine.health(), slot.engine.now());
                 }
                 continue;
-            }
-            if !slot.engine.crashed() {
+            } else {
                 slot.parked = true; // drained (or horizon); may be revived
                 continue;
             }
-            k.handle_crash(idx);
         }
         debug_assert_eq!(
             k.fleet.outstanding.iter().flatten().sum::<u64>()
                 + nums::usize_to_u64(k.fleet.held.len() + k.book.outcomes.len()),
-            nums::usize_to_u64(trace.len()),
+            nums::usize_to_u64(requests),
             "every request is outstanding on one slot, held, or resolved"
         );
         resync = sharded;
     }
-    Ok(k.finish(trace.len(), observer))
+    k.finish(requests, observer)
 }
 
 /// Everything a kernel run mutates besides its barrier bookkeeping,
@@ -546,7 +512,7 @@ impl<'a> Kernel<'a> {
     /// start idle.
     #[expect(
         clippy::too_many_arguments,
-        reason = "the run inputs of `run_elastic_inner` the fleet is built from"
+        reason = "the run inputs the fleet is built from"
     )]
     fn new(
         trace: &Trace,
@@ -617,7 +583,7 @@ impl<'a> Kernel<'a> {
             elastic,
             seeds,
             tracer,
-            dispatch: Dispatcher::new(&schedule, max_replicas),
+            dispatch: Dispatcher::default(),
             schedule,
             schedule_horizon,
             slots: Vec::new(),
@@ -636,7 +602,7 @@ impl<'a> Kernel<'a> {
         };
         k.slots = (0..max_replicas)
             .map(|r| Slot {
-                engine: k.engine(r, SimTime::ZERO),
+                engine: k.engine(r),
                 crashes: k.schedule.crashes_for(r),
                 next_crash: 0,
                 parked: r >= initial,
@@ -656,23 +622,23 @@ impl<'a> Kernel<'a> {
         Ok(k)
     }
 
-    /// A fresh engine generation for slot `replica`, its fault profile
-    /// starting at `from`.
-    fn engine(&self, replica: u32, from: SimTime) -> ReplicaEngine {
+    /// A fresh engine generation for slot `replica`, with the replica's
+    /// slowdown windows.
+    fn engine(&self, replica: u32) -> ReplicaEngine {
         build_engine(
             self.scheduler,
             self.config,
             self.seeds,
             replica,
-            self.schedule.profile_for(replica, from),
+            self.schedule.profile_for(replica),
             self.tracer,
         )
     }
 
-    /// Replaces slot `r`'s engine with a fresh generation starting at
-    /// `from`; it stays parked until work is routed to it.
-    fn restart(&mut self, r: usize, from: SimTime) {
-        self.slots[r].engine = self.engine(nums::usize_to_u32(r), from);
+    /// Replaces slot `r`'s engine with a fresh generation; it stays
+    /// parked until work is routed to it.
+    fn restart(&mut self, r: usize) {
+        self.slots[r].engine = self.engine(nums::usize_to_u32(r));
         self.slots[r].parked = true;
         if let Some(b) = self.slots[r].breaker.as_mut() {
             b.reset(); // fresh generation, fresh health history
@@ -736,7 +702,7 @@ impl<'a> Kernel<'a> {
                     self.fleet.phases[r] = Phase::Warming { up_at, decided_at };
                 }
                 Phase::Warming { up_at, decided_at } if up_at <= t => {
-                    self.restart(r, up_at);
+                    self.restart(r);
                     let slot = &mut self.slots[r];
                     slot.next_crash = slot.crashes.partition_point(|c| c.at < up_at);
                     self.fleet.phases[r] = Phase::Serving;
@@ -820,21 +786,19 @@ impl<'a> Kernel<'a> {
         orphans
     }
 
-    /// The crash that halted slot `idx`: the slot restarts, is lost, or
-    /// (if draining) retires early, and its orphans are re-dispatched.
-    fn handle_crash(&mut self, idx: usize) {
+    /// Slot `idx`'s upcoming `crash`, due at its engine clock: the slot
+    /// restarts, is lost, or (if draining) retires early, and its orphans
+    /// are re-dispatched.
+    fn handle_crash(&mut self, idx: usize, crash: CrashEvent) {
         self.book.stats.crashes += 1;
-        let slot = &mut self.slots[idx];
-        let crash = slot.crashes.get(slot.next_crash).copied();
-        slot.next_crash += 1;
-        // The schedule's crash instant, not the engine clock (which may
-        // have idled past it), anchors backoff and restart timing.
-        let crash_at = crash.map_or(slot.engine.now(), |c| c.at);
-        self.last_time = self.last_time.max(crash_at);
+        self.slots[idx].next_crash += 1;
+        // The crash instant, not the engine clock (which may have idled
+        // past it), anchors backoff and restart timing.
+        self.last_time = self.last_time.max(crash.at);
         let replica_id = nums::usize_to_u32(idx);
         if self.tracer.enabled() {
             self.tracer.for_replica(replica_id).emit_at(
-                crash_at,
+                crash.at,
                 None,
                 TraceEvent::FaultInjected {
                     kind: FaultKind::Crash,
@@ -848,10 +812,10 @@ impl<'a> Kernel<'a> {
             // A crash preempts the drain: the slot retires early and the
             // scheduled restart (if any) is moot.
             self.slots[idx].parked = true;
-            self.fleet.retire(idx, crash_at);
-        } else if let Some(restart_at) = crash.and_then(|c| c.restart_at) {
+            self.fleet.retire(idx, crash.at);
+        } else if crash.restart_at.is_some() {
             self.book.stats.restarts += 1;
-            self.restart(idx, restart_at);
+            self.restart(idx);
         } else {
             // Lost for good. A parked slot meets its crash only once work
             // revives it, possibly after later control instants, so its
@@ -859,10 +823,10 @@ impl<'a> Kernel<'a> {
             // the loss at the latest instant processed.
             self.slots[idx].parked = true;
             self.fleet.phases[idx] = Phase::Lost;
-            self.fleet.deprovision(idx, crash_at);
+            self.fleet.deprovision(idx, crash.at);
             self.fleet.log_fleet(self.last_time);
         }
-        self.redispatch(orphans, crash_at, replica_id, false);
+        self.redispatch(orphans, crash.at, replica_id, false);
     }
 
     /// Slot `r`'s drain deadline: unfinished work is handed to the
@@ -923,13 +887,12 @@ impl<'a> Kernel<'a> {
 
             let redispatch_at =
                 (anchor + RETRY_BACKOFF * u64::from(attempt)).max(orphan.spec.arrival);
-            let slots = &self.slots;
             let placed = self.dispatch.orphan(
                 &serving,
                 held_or_lost,
                 orphan.spec.priority(),
                 redispatch_at,
-                |r| slots[nums::u32_to_usize(r)].breaker.as_ref(),
+                &self.slots,
             );
             let Some(placed) = placed else {
                 self.book.stats.shed += 1;
@@ -1229,6 +1192,46 @@ mod tests {
             warmup: SimDuration::from_secs(3),
             drain_grace: SimDuration::from_secs(5),
         }
+    }
+
+    /// A crash due at t = 0 is handled before the slot's first step: every
+    /// request pre-assigned to the slot comes back as an orphan with no
+    /// work done, and the survivor serves it. The other slot's requests
+    /// are untouched.
+    #[test]
+    fn a_crash_due_at_zero_orphans_every_request_on_its_slot() {
+        let t = trace(27, 4.0, 60);
+        let (spec, config, seeds) = (SchedulerSpec::qoserve(), config(), SeedStream::new(27));
+        let (plan, elastic, tracer) = (FaultPlan::none(), ElasticPlan::none(), Tracer::disabled());
+        let run = |mode| {
+            let mut k =
+                Kernel::new(&t, 2, &spec, &config, &plan, &elastic, &seeds, &tracer).unwrap();
+            k.slots[0].crashes = vec![CrashEvent {
+                at: SimTime::ZERO,
+                restart_at: None,
+            }];
+            drive(k, t.len(), None, mode)
+        };
+        let r = run(ExecMode::Sharded);
+        assert_eq!(r, run(ExecMode::Lockstep), "kernels must agree");
+        let targets = config.router.assign(t.requests(), 2);
+        for (o, &target) in r.outcomes.iter().zip(&targets) {
+            assert!(o.finished(), "{o:?}");
+            assert_eq!(o.replica, 1);
+            assert_eq!(o.retries, u32::from(target == 0), "{o:?}");
+            assert_eq!(o.reprefill_tokens, 0);
+        }
+        let orphaned = targets.iter().filter(|&&r| r == 0).count();
+        assert!(orphaned > 0);
+        assert_eq!(
+            r.stats,
+            FaultRunStats {
+                crashes: 1,
+                redispatches: orphaned as u64,
+                ..FaultRunStats::default()
+            }
+        );
+        assert_eq!(r.fleet, [(SimTime::ZERO, 2), (SimTime::ZERO, 1)]);
     }
 
     /// Held dispatch every 20 s can revive a parked slot after its

@@ -15,10 +15,11 @@
 //!    the min-now lockstep pick for the crash neighbourhood — a crash is
 //!    still observed before any survivor moves past it, and the step
 //!    order replayed around it is exactly the lockstep one.
-//! 2. A crash surfaces the dead replica's orphans
-//!    ([`OrphanedJob`](qoserve_engine::OrphanedJob)); each is re-dispatched
-//!    to a serving, up replica after a deterministic linear backoff
-//!    (500 ms per attempt), paying its prompt tokens again
+//! 2. The lockstep pick handles a crash that is due at the picked slot's
+//!    engine clock instead of stepping it. The crash empties the engine
+//!    into orphans ([`OrphanedJob`](qoserve_engine::OrphanedJob)); each is
+//!    re-dispatched to a serving, up replica after a deterministic linear
+//!    backoff (500 ms per attempt), paying its prompt tokens again
 //!    (re-prefill — the KV died with the replica).
 //! 3. Retries are bounded ([`FaultPlan::max_retries`]); requests that keep
 //!    landing on crashing replicas end as
@@ -30,6 +31,12 @@
 //!    paper's graceful-degradation argument (§3.3).
 //! 5. Crashed replicas with a configured downtime restart empty and
 //!    rejoin the rotation.
+//!
+//! Each replica's crashes have one owner, its kernel slot: the slot holds
+//! the replica's crash timeline from the fault schedule, knows which
+//! crash is next, and answers whether the replica is up at an instant
+//! for the dispatcher's orphan filter. The engine only executes; it never
+//! sees a crash.
 //!
 //! Everything is deterministic: the fault timeline is derived from the
 //! seed alone, replica selection is a round-robin cursor, and backoff is
@@ -146,10 +153,11 @@ pub struct FaultRunStats {
     pub warmup_wasted_us: u64,
 }
 
-/// One replica slot of the cluster kernel. The engine is replaced by a
-/// fresh generation after a restart; `crashes` is this replica's full
-/// crash timeline with `next_crash` indexing the upcoming one. The slot
-/// carries its breaker, so a sharded epoch moves both to one worker.
+/// One replica slot of the cluster kernel, and the one owner of its
+/// replica's crashes. The engine is replaced by a fresh generation after
+/// a restart; `crashes` is this replica's full crash timeline with
+/// `next_crash` indexing the upcoming one. The slot carries its breaker,
+/// so a sharded epoch moves both to one worker.
 pub(crate) struct Slot {
     pub(crate) engine: ReplicaEngine,
     pub(crate) crashes: Vec<CrashEvent>,
@@ -161,6 +169,32 @@ pub(crate) struct Slot {
     pub(crate) breaker: Option<CircuitBreaker>,
 }
 
+impl Slot {
+    /// The upcoming crash, if the timeline has one left.
+    pub(crate) fn upcoming_crash(&self) -> Option<CrashEvent> {
+        self.crashes.get(self.next_crash).copied()
+    }
+
+    /// The upcoming crash if it is due: at or before the engine's clock,
+    /// with the clock short of `horizon` (an engine at its horizon halts
+    /// first and parks).
+    pub(crate) fn crash_due(&self, horizon: Option<SimTime>) -> Option<CrashEvent> {
+        let now = self.engine.now();
+        self.upcoming_crash()
+            .filter(|c| c.at <= now && horizon.is_none_or(|h| now < h))
+    }
+
+    /// Whether the replica is up at `t`: inside no crash outage, each of
+    /// which runs from its crash to its restart, or forever without one.
+    pub(crate) fn up_at(&self, t: SimTime) -> bool {
+        !self
+            .crashes
+            .iter()
+            .take_while(|c| c.at <= t)
+            .any(|c| c.restart_at.is_none_or(|r| t < r))
+    }
+}
+
 /// The earliest pending crash instant across runnable slots. `None`
 /// means no runnable replica can crash again (parked slots only revive
 /// at a crash or control instant, both barriers themselves), so up to
@@ -169,7 +203,7 @@ pub(crate) fn pending_crash_barrier(slots: &[Slot]) -> Option<SimTime> {
     slots
         .iter()
         .filter(|s| !s.parked)
-        .filter_map(|s| s.crashes.get(s.next_crash).map(|c| c.at))
+        .filter_map(|s| s.upcoming_crash().map(|c| c.at))
         .min()
 }
 
@@ -177,7 +211,9 @@ pub(crate) fn pending_crash_barrier(slots: &[Slot]) -> Option<SimTime> {
 /// `barrier`, or to completion without one. The strict bound is what
 /// keeps the merged state on the lockstep schedule: a step whose entry
 /// clock has reached the barrier may be ordered after the crash
-/// processing in min-now order, so it belongs to the serial phase.
+/// processing in min-now order, so it belongs to the serial phase. It
+/// also keeps every crash out of this phase, since the slot's upcoming
+/// crash is at or past the barrier.
 fn advance_replica(slot: &mut Slot, barrier: Option<SimTime>) {
     if slot.parked {
         return;
@@ -188,17 +224,14 @@ fn advance_replica(slot: &mut Slot, barrier: Option<SimTime>) {
                 return;
             }
         }
-        if slot.engine.step() {
-            if let Some(b) = slot.breaker.as_mut() {
-                // Health reads are pure and the breaker is replica-local,
-                // so observing here matches the lockstep order exactly.
-                b.observe(&slot.engine.health(), slot.engine.now());
-            }
-        } else {
-            if !slot.engine.crashed() {
-                slot.parked = true; // drained (or horizon); may be revived
-            }
+        if !slot.engine.step() {
+            slot.parked = true; // drained (or horizon); may be revived
             return;
+        }
+        if let Some(b) = slot.breaker.as_mut() {
+            // Health reads are pure and the breaker is replica-local,
+            // so observing here matches the lockstep order exactly.
+            b.observe(&slot.engine.health(), slot.engine.now());
         }
     }
 }
@@ -215,9 +248,9 @@ pub(crate) fn advance_to_barrier(slots: &mut Vec<Slot>, barrier: Option<SimTime>
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::deployment::{run_shared, ClusterConfig};
+    use crate::deployment::{build_engine, run_shared, ClusterConfig};
     use crate::elastic::{
         run_shared_elastic, run_shared_elastic_observed_lockstep, ElasticRunResult,
     };
@@ -226,9 +259,108 @@ mod tests {
     use crate::spec::SchedulerSpec;
     use qoserve_metrics::{Disposition, RequestOutcome};
     use qoserve_perf::HardwareConfig;
-    use qoserve_sim::SeedStream;
+    use qoserve_sim::faults::{FaultSchedule, ReplicaFaultProfile};
+    use qoserve_sim::{forall, Rng, SeedStream};
     use qoserve_trace::Tracer;
     use qoserve_workload::{ArrivalProcess, Dataset, Trace, TraceBuilder};
+
+    /// `FaultSchedule::is_up_at` as it stood before the slots owned the
+    /// crash timeline, over one replica's crashes: the reference
+    /// `Slot::up_at` is checked against.
+    pub(crate) fn is_up_at(crashes: &[CrashEvent], t: SimTime) -> bool {
+        for c in crashes {
+            if c.at <= t {
+                match c.restart_at {
+                    None => return false,
+                    Some(r) if t < r => return false,
+                    Some(_) => {}
+                }
+            }
+        }
+        true
+    }
+
+    /// A parked slot with `crashes` and `breaker` around an empty engine.
+    pub(crate) fn slot(crashes: Vec<CrashEvent>, breaker: Option<CircuitBreaker>) -> Slot {
+        Slot {
+            engine: build_engine(
+                &SchedulerSpec::sarathi_fcfs(),
+                &config(),
+                &SeedStream::new(0),
+                0,
+                ReplicaFaultProfile::healthy(),
+                &Tracer::disabled(),
+            ),
+            crashes,
+            next_crash: 0,
+            parked: true,
+            breaker,
+        }
+    }
+
+    /// A crash list drawn either from a random fault schedule (rates up
+    /// to 6,000 an hour, permanent, instant or timed restarts) or by hand
+    /// with zero-length outages and zero-length gaps: a crash landing on
+    /// the previous restart.
+    fn random_crashes(rng: &mut impl Rng) -> Vec<CrashEvent> {
+        let micros = SimDuration::from_micros;
+        if rng.gen_bool(0.5) {
+            let faults = FaultConfig {
+                crash_rate_per_hour: [60.0, 600.0, 6_000.0][rng.gen_range(0..3)],
+                restart_downtime: match rng.gen_range(0..4) {
+                    0 => None,
+                    1 => Some(SimDuration::ZERO),
+                    _ => Some(micros(rng.gen_range(1..20_000_000))),
+                },
+                max_crashes_per_replica: 8,
+                ..FaultConfig::none()
+            };
+            let seeds = SeedStream::new(rng.gen_range(0..1_000));
+            return FaultSchedule::generate(&faults, 1, SimTime::from_secs(60), &seeds)
+                .crashes_for(0);
+        }
+        let mut crashes = Vec::new();
+        let mut at = SimTime::from_micros(rng.gen_range(0..3_000_000));
+        for _ in 0..rng.gen_range(0..6) {
+            let restart_at = match rng.gen_range(0..4) {
+                0 => None,
+                1 => Some(at),
+                _ => Some(at + micros(rng.gen_range(1..2_000_000))),
+            };
+            crashes.push(CrashEvent { at, restart_at });
+            let Some(restart) = restart_at else { break };
+            let gap = if rng.gen_bool(0.5) {
+                0
+            } else {
+                rng.gen_range(1..2_000_000)
+            };
+            at = restart + micros(gap);
+        }
+        crashes
+    }
+
+    /// `Slot::up_at` answers as the schedule's rule did, at every crash
+    /// and restart instant, a microsecond either side, and at random
+    /// instants.
+    #[test]
+    fn up_at_matches_the_schedule_rule_it_replaced() {
+        forall(256, 28, |rng| {
+            let crashes = random_crashes(rng);
+            let s = slot(crashes.clone(), None);
+            let one = SimDuration::from_micros(1);
+            let mut probes: Vec<SimTime> = (0..16)
+                .map(|_| SimTime::from_micros(rng.gen_range(0..70_000_000)))
+                .collect();
+            for c in &crashes {
+                for t in [Some(c.at), c.restart_at].into_iter().flatten() {
+                    probes.extend([t.saturating_sub(one), t, t + one]);
+                }
+            }
+            for t in probes {
+                assert_eq!(s.up_at(t), is_up_at(&crashes, t), "at {t:?} in {crashes:?}");
+            }
+        });
+    }
 
     fn config() -> ClusterConfig {
         ClusterConfig::new(HardwareConfig::llama3_8b_a100_tp1())

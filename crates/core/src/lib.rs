@@ -82,9 +82,7 @@ pub mod prelude {
         ElasticPlan, ElasticRunResult, FaultPlan, FaultRunStats, GoodputOptions, LifecycleConfig,
         Router, RouterError, ScaleAction, ScaleChurnConfig, ScaleEvent, SchedulerSpec, SiloGroup,
     };
-    pub use qoserve_engine::{
-        HealthSnapshot, ReplicaConfig, ReplicaEngine, ReplicaState, HEALTH_WINDOW,
-    };
+    pub use qoserve_engine::{HealthSnapshot, ReplicaConfig, ReplicaEngine, HEALTH_WINDOW};
     pub use qoserve_metrics::{
         Disposition, LatencySummary, LogHistogram, RecoveryReport, RequestOutcome, RollingSeries,
         SloReport, Table,

@@ -2,17 +2,15 @@
 //! cluster layer's circuit breakers.
 //!
 //! Every executed iteration contributes one [`HealthSample`] — whether a
-//! slowdown window inflated it, the observed/clean latency ratio, and the
-//! tokens it advanced — into a fixed-size ring. [`HealthSnapshot`]
-//! summarises the ring on demand: degraded-iteration fraction, mean
-//! latency ratio, and queue-drain velocity, folded into a single
-//! [`score`](HealthSnapshot::score) the breaker thresholds against.
+//! slowdown window inflated it and the observed/clean latency ratio —
+//! into a fixed-size ring. [`HealthSnapshot`] summarises the ring on
+//! demand: degraded-iteration fraction and mean latency ratio, folded
+//! into a single [`score`](HealthSnapshot::score) the breaker thresholds
+//! against, plus the queued prompt tokens the autoscaler reads.
 //!
 //! Reads are pure (no engine state is touched), so health-driven dispatch
 //! decisions never perturb a replica's own timeline — fault-free runs
 //! stay bit-identical whether or not anyone looks at the snapshots.
-
-use crate::replica::ReplicaState;
 
 /// Iterations summarised by a snapshot. Large enough to smooth batch-mix
 /// noise, small enough that a straggler window dominates the ring within
@@ -27,10 +25,6 @@ pub struct HealthSample {
     /// Observed execution latency over the clean model latency (noise and
     /// slowdown included; 1.0 = exactly as modelled).
     pub ratio: f64,
-    /// Tokens the iteration advanced (prefill tokens + one per decode).
-    pub tokens: u64,
-    /// Observed execution latency in microseconds.
-    pub exec_us: u64,
 }
 
 /// Fixed-size ring of recent [`HealthSample`]s.
@@ -69,72 +63,41 @@ impl HealthRing {
         self.samples.is_empty()
     }
 
-    /// Summarises the ring (window-dependent fields only; the caller
-    /// fills in identity and queue state).
-    fn summarize(&self) -> (f64, f64, f64) {
+    /// The degraded fraction and mean latency ratio of the ring.
+    fn summarize(&self) -> (f64, f64) {
         if self.samples.is_empty() {
-            return (0.0, 1.0, 0.0);
+            return (0.0, 1.0);
         }
         let n = self.samples.len() as f64;
         let degraded = self.samples.iter().filter(|s| s.degraded).count() as f64 / n;
         let mean_ratio = self.samples.iter().map(|s| s.ratio).sum::<f64>() / n;
-        let tokens: u64 = self.samples.iter().map(|s| s.tokens).sum();
-        let exec_us: u64 = self.samples.iter().map(|s| s.exec_us).sum();
-        let velocity = if exec_us == 0 {
-            0.0
-        } else {
-            tokens as f64 * 1e6 / exec_us as f64
-        };
-        (degraded, mean_ratio, velocity)
+        (degraded, mean_ratio)
     }
 }
 
 /// Point-in-time health of one replica, as reported to the cluster layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthSnapshot {
-    /// Reporting replica.
-    pub replica_id: u32,
-    /// Availability state at snapshot time.
-    pub state: ReplicaState,
-    /// Iterations executed by this replica generation so far.
-    pub iterations: u64,
     /// Iterations summarised below (0 before the first iteration).
     pub window: usize,
     /// Fraction of windowed iterations inside a slowdown window.
     pub degraded_fraction: f64,
     /// Mean observed/clean latency ratio over the window (1.0 = nominal).
     pub mean_latency_ratio: f64,
-    /// Tokens advanced per second of execution over the window.
-    pub drain_velocity_tokens_per_sec: f64,
     /// Prompt tokens waiting in the scheduler queue.
     pub queue_tokens: u64,
-    /// Requests waiting in the scheduler queue.
-    pub pending_prefills: usize,
 }
 
 impl HealthSnapshot {
-    /// Builds a snapshot from a ring plus the caller's identity and queue
-    /// state.
-    pub fn from_ring(
-        ring: &HealthRing,
-        replica_id: u32,
-        state: ReplicaState,
-        iterations: u64,
-        queue_tokens: u64,
-        pending_prefills: usize,
-    ) -> Self {
-        let (degraded_fraction, mean_latency_ratio, drain_velocity_tokens_per_sec) =
-            ring.summarize();
+    /// Builds a snapshot from a ring plus the caller's queued prompt
+    /// tokens.
+    pub fn from_ring(ring: &HealthRing, queue_tokens: u64) -> Self {
+        let (degraded_fraction, mean_latency_ratio) = ring.summarize();
         HealthSnapshot {
-            replica_id,
-            state,
-            iterations,
             window: ring.len(),
             degraded_fraction,
             mean_latency_ratio,
-            drain_velocity_tokens_per_sec,
             queue_tokens,
-            pending_prefills,
         }
     }
 
@@ -158,24 +121,19 @@ impl HealthSnapshot {
 mod tests {
     use super::*;
 
-    fn sample(degraded: bool, ratio: f64, tokens: u64, exec_us: u64) -> HealthSample {
-        HealthSample {
-            degraded,
-            ratio,
-            tokens,
-            exec_us,
-        }
+    fn sample(degraded: bool, ratio: f64) -> HealthSample {
+        HealthSample { degraded, ratio }
     }
 
     #[test]
     fn empty_ring_reports_nominal() {
         let ring = HealthRing::new();
-        let snap = HealthSnapshot::from_ring(&ring, 3, ReplicaState::Up, 0, 0, 0);
+        let snap = HealthSnapshot::from_ring(&ring, 7);
         assert_eq!(snap.window, 0);
         assert_eq!(snap.mean_latency_ratio, 1.0);
         assert_eq!(snap.degraded_fraction, 0.0);
         assert_eq!(snap.score(), 1.0);
-        assert_eq!(snap.replica_id, 3);
+        assert_eq!(snap.queue_tokens, 7);
     }
 
     #[test]
@@ -184,13 +142,13 @@ mod tests {
         // Fill with degraded samples, then push a full window of clean
         // ones: the degraded history must age out completely.
         for _ in 0..HEALTH_WINDOW {
-            ring.record(sample(true, 2.0, 100, 1_000));
+            ring.record(sample(true, 2.0));
         }
         for _ in 0..HEALTH_WINDOW {
-            ring.record(sample(false, 1.0, 100, 1_000));
+            ring.record(sample(false, 1.0));
         }
         assert_eq!(ring.len(), HEALTH_WINDOW);
-        let snap = HealthSnapshot::from_ring(&ring, 0, ReplicaState::Up, 64, 0, 0);
+        let snap = HealthSnapshot::from_ring(&ring, 0);
         assert_eq!(snap.degraded_fraction, 0.0);
         assert_eq!(snap.mean_latency_ratio, 1.0);
         assert_eq!(snap.score(), 1.0);
@@ -200,9 +158,9 @@ mod tests {
     fn straggler_window_degrades_the_score() {
         let mut ring = HealthRing::new();
         for _ in 0..HEALTH_WINDOW {
-            ring.record(sample(true, 2.0, 100, 2_000));
+            ring.record(sample(true, 2.0));
         }
-        let snap = HealthSnapshot::from_ring(&ring, 0, ReplicaState::Degraded, 32, 0, 0);
+        let snap = HealthSnapshot::from_ring(&ring, 0);
         assert_eq!(snap.degraded_fraction, 1.0);
         assert_eq!(snap.mean_latency_ratio, 2.0);
         // ratio term 0.5 x degraded term 0.5 = 0.25.
@@ -212,17 +170,8 @@ mod tests {
     #[test]
     fn faster_than_modelled_does_not_inflate_score() {
         let mut ring = HealthRing::new();
-        ring.record(sample(false, 0.9, 100, 900));
-        let snap = HealthSnapshot::from_ring(&ring, 0, ReplicaState::Up, 1, 0, 0);
+        ring.record(sample(false, 0.9));
+        let snap = HealthSnapshot::from_ring(&ring, 0);
         assert_eq!(snap.score(), 1.0, "score is capped at nominal");
-    }
-
-    #[test]
-    fn drain_velocity_reflects_tokens_per_second() {
-        let mut ring = HealthRing::new();
-        // 500 tokens in 50 ms -> 10k tokens/s.
-        ring.record(sample(false, 1.0, 500, 50_000));
-        let snap = HealthSnapshot::from_ring(&ring, 0, ReplicaState::Up, 1, 0, 0);
-        assert!((snap.drain_velocity_tokens_per_sec - 10_000.0).abs() < 1e-9);
     }
 }

@@ -9,15 +9,20 @@
 //! tokens — recording TTFT, per-token lateness against the Eq. 2/3
 //! deadlines, and TBT along the way.
 //!
+//! The engine only executes: iterations, slowdown windows, drains, and
+//! handing its unfinished work back. Whether a replica is up is the
+//! cluster kernel's question; its slots own each replica's crash timeline
+//! and stop stepping a crashed engine.
+//!
 //! * [`kv`] — token-granular KV-cache accounting with decode-growth
 //!   reservation (decodes are never preempted, §3.4, so their future
 //!   growth is reserved at admission).
 //! * [`health`] — the rolling per-iteration health ring and
 //!   [`HealthSnapshot`] API feeding the cluster layer's circuit breakers.
 //! * [`noise`] — multiplicative log-normal execution-time noise.
-//! * [`replica`] — the engine itself, including the availability state
-//!   machine ([`ReplicaState`]) and crash-orphan surfacing
-//!   ([`OrphanedJob`]) used by the fault-injection experiments.
+//! * [`replica`] — the engine itself, including the orphan walk
+//!   ([`OrphanedJob`]) the cluster kernel empties a crashed or drained
+//!   replica with.
 //! * [`disagg`] — helpers for PD-disaggregated prefill-node serving
 //!   (§4.1.3).
 
@@ -50,5 +55,5 @@ pub use health::{HealthRing, HealthSample, HealthSnapshot, HEALTH_WINDOW};
 pub use kv::KvCache;
 pub use noise::ExecutionNoise;
 pub use replica::{
-    sustainable_decode_batch, BatchRecord, OrphanedJob, ReplicaConfig, ReplicaEngine, ReplicaState,
+    sustainable_decode_batch, BatchRecord, OrphanedJob, ReplicaConfig, ReplicaEngine,
 };

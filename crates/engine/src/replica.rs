@@ -24,26 +24,10 @@ use crate::health::{HealthRing, HealthSample, HealthSnapshot};
 use crate::kv::KvCache;
 use crate::noise::ExecutionNoise;
 
-/// Availability of a replica as its engine reports it. The cluster
-/// layer keeps the rest of the replica lifecycle (provisioning, warm-up,
-/// crash downtime) in its own slot phases and fault schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReplicaState {
-    /// Serving normally.
-    Up,
-    /// Serving inside a straggler/drift window (latency inflated).
-    Degraded,
-    /// Graceful drain: admission stopped, running decodes finishing to a
-    /// deadline. Accepts no *new* work.
-    Draining,
-    /// Crashed: in-flight and queued work must be re-dispatched.
-    Down,
-}
-
-/// A request stranded by a replica crash, surfaced to the cluster layer
-/// for re-dispatch. Its KV state died with the replica: a re-dispatched
-/// request starts prefill from zero (`prefill_done` here records the lost
-/// progress, i.e. the re-prefill cost).
+/// A request stranded by a replica crash or drain, surfaced to the
+/// cluster layer for re-dispatch. Its KV state died with the replica: a
+/// re-dispatched request starts prefill from zero (`prefill_done` here
+/// records the lost progress, i.e. the re-prefill cost).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OrphanedJob {
     /// The stranded request.
@@ -73,10 +57,10 @@ pub struct ReplicaConfig {
     /// Record per-batch diagnostics (chunk budgets, latencies) — Fig. 9
     /// and Fig. 15a read these.
     pub record_batches: bool,
-    /// Injected-fault timeline for this replica generation: at most one
-    /// upcoming crash plus any latency-inflation windows. Healthy by
+    /// Injected latency-inflation windows for this replica. Healthy by
     /// default, in which case behaviour is bit-identical to the
-    /// pre-fault-model engine.
+    /// pre-fault-model engine. Crashes are the cluster kernel's: it stops
+    /// stepping the engine and empties it.
     pub faults: ReplicaFaultProfile,
 }
 
@@ -103,7 +87,7 @@ impl ReplicaConfig {
         self
     }
 
-    /// Sets the injected-fault timeline for this replica generation.
+    /// Sets the injected slowdown windows.
     pub fn with_faults(mut self, faults: ReplicaFaultProfile) -> Self {
         self.faults = faults;
         self
@@ -308,9 +292,6 @@ pub struct ReplicaEngine {
     batch_log: Vec<BatchRecord>,
     /// Consecutive iterations that made no progress (deadlock guard).
     stall_streak: u32,
-    /// Set once the configured crash time is reached; the engine refuses
-    /// further work and the cluster layer collects orphans.
-    crashed: bool,
     /// Graceful-drain deadline. While set, the scheduler's constraints
     /// pin `max_new_requests` to zero (admitted work keeps chunking, new
     /// work is never admitted) and the engine halts once the running set
@@ -350,7 +331,6 @@ impl ReplicaEngine {
             iterations: 0,
             batch_log: Vec::new(),
             stall_streak: 0,
-            crashed: false,
             draining: None,
             degraded_iterations: 0,
             health: HealthRing::new(),
@@ -417,10 +397,10 @@ impl ReplicaEngine {
     /// Finalizes a halted engine: accounts everything still in
     /// flight/queued/unarrived (rejections with their own label, the rest
     /// as unfinished) and returns every outcome, ordered by request id.
-    /// Used directly by the fault-aware cluster driver, which steps
-    /// engines manually instead of calling [`run`](Self::run).
+    /// Used directly by the cluster kernel, which steps engines manually
+    /// instead of calling [`run`](Self::run).
     pub fn finish(&mut self) -> Vec<RequestOutcome> {
-        // The crash walk, with every orphan accounted as unfinished
+        // The orphan walk, with every orphan accounted as unfinished
         // instead of re-dispatched.
         let replica = self.config.replica_id;
         let unfinished = self.take_orphans();
@@ -434,22 +414,11 @@ impl ReplicaEngine {
         outcomes
     }
 
-    /// Executes one engine step. Returns `false` when no work remains (or
-    /// the horizon was reached).
+    /// Executes one engine step. Returns `false` when no work remains, the
+    /// horizon was reached, or a drain has run its course.
     pub fn step(&mut self) -> bool {
         if let Some(h) = self.config.horizon {
             if self.now >= h {
-                return false;
-            }
-        }
-        // Crash check: once simulated time reaches the injected crash, the
-        // replica does no further work. The cluster layer distinguishes
-        // this halt from a drained engine via [`crashed`](Self::crashed)
-        // and collects the stranded jobs with
-        // [`take_orphans`](Self::take_orphans).
-        if let Some(crash) = self.config.faults.crash_at {
-            if self.crashed || self.now >= crash {
-                self.crashed = true;
                 return false;
             }
         }
@@ -588,9 +557,6 @@ impl ReplicaEngine {
         self.health.record(HealthSample {
             degraded,
             ratio: exec.as_micros() as f64 / clean.as_micros().max(1) as f64,
-            tokens: u64::from(plan.prefill_tokens())
-                + nums::usize_to_u64(self.decode_scratch.len()),
-            exec_us: exec.as_micros(),
         });
         // Close the observe→adapt loop: the scheduler sees the batch it
         // planned together with the *observed* execution latency (a no-op
@@ -690,38 +656,12 @@ impl ReplicaEngine {
         self.outcomes.push(r.into_outcome(self.config.replica_id));
     }
 
-    /// Whether the injected crash has fired.
-    pub fn crashed(&self) -> bool {
-        self.crashed
-    }
-
-    /// Current availability: `Down` after the crash fires, `Draining`
-    /// while a graceful drain is in progress, `Degraded` inside an active
-    /// slowdown window, `Up` otherwise.
-    pub fn state(&self) -> ReplicaState {
-        if self.crashed {
-            ReplicaState::Down
-        } else if self.draining.is_some() {
-            ReplicaState::Draining
-        } else if self.config.faults.slowdown_at(self.now) > 1.0 {
-            ReplicaState::Degraded
-        } else {
-            ReplicaState::Up
-        }
-    }
-
     /// Starts a graceful drain: admission stops immediately, running work
     /// keeps executing until it completes or `deadline` passes, and the
-    /// engine then halts (without [`crashed`](Self::crashed)) so the
-    /// cluster layer can migrate the leftovers via
-    /// [`take_orphans`](Self::take_orphans).
+    /// engine then halts so the cluster layer can migrate the leftovers
+    /// via [`take_orphans`](Self::take_orphans).
     pub fn begin_drain(&mut self, deadline: SimTime) {
         self.draining = Some(deadline);
-    }
-
-    /// Whether a graceful drain is in progress.
-    pub fn draining(&self) -> bool {
-        self.draining.is_some()
     }
 
     /// Removes and returns every request still sitting in the arrival
@@ -744,24 +684,17 @@ impl ReplicaEngine {
     }
 
     /// Point-in-time health of this replica: rolling degraded-iteration
-    /// fraction, observed/clean latency ratio, queue-drain velocity, and
-    /// queue depth. A pure read — taking snapshots never perturbs the
-    /// replica's own timeline, so health-driven dispatch leaves fault-free
-    /// runs bit-identical.
+    /// fraction, observed/clean latency ratio, and queued prompt tokens.
+    /// A pure read — taking snapshots never perturbs the replica's own
+    /// timeline, so health-driven dispatch leaves fault-free runs
+    /// bit-identical.
     pub fn health(&self) -> HealthSnapshot {
-        HealthSnapshot::from_ring(
-            &self.health,
-            self.config.replica_id,
-            self.state(),
-            self.iterations,
-            self.scheduler.pending_prefill_tokens(),
-            self.scheduler.pending_prefills(),
-        )
+        HealthSnapshot::from_ring(&self.health, self.scheduler.pending_prefill_tokens())
     }
 
     /// Takes the outcomes recorded so far (completions plus any rejected
     /// outcomes surfaced by [`take_orphans`](Self::take_orphans)),
-    /// unsorted. The fault-aware driver calls this after a crash; callers
+    /// unsorted. The cluster kernel calls this after a crash; callers
     /// of [`run`](Self::run)/[`finish`](Self::finish) never need it.
     pub fn take_outcomes(&mut self) -> Vec<RequestOutcome> {
         std::mem::take(&mut self.outcomes)
@@ -877,26 +810,26 @@ mod tests {
         assert_eq!(plain.run(), explicit.run());
     }
 
+    /// A horizon halt strands work the way a crash does: some requests
+    /// complete, some are in flight or queued, some never arrive. Every
+    /// one is either an outcome or an orphan.
     #[test]
-    fn crash_halts_engine_and_orphans_conserve_requests() {
-        let crash = SimTime::from_secs(1);
-        let mut e = engine_with(base_config().with_faults(ReplicaFaultProfile {
-            crash_at: Some(crash),
-            windows: Vec::new(),
-        }));
+    fn take_orphans_conserves_requests_on_a_halted_engine() {
+        let mut e = engine_with(base_config().with_horizon(SimTime::from_secs(1)));
         let ids: Vec<u64> = (0..20).collect();
         for &i in &ids {
-            // Arrivals straddle the crash: some complete, some strand
-            // in-flight/queued, some never arrive.
             e.submit(spec(i, i * 150, 2_000, 100));
         }
         while e.step() {}
-        assert!(e.crashed());
-        assert_eq!(e.state(), ReplicaState::Down);
 
         let orphans = e.take_orphans();
         let outcomes = e.take_outcomes();
-        assert!(!orphans.is_empty(), "a 1 s crash must strand work");
+        assert!(!orphans.is_empty(), "a 1 s halt must strand work");
+        assert!(orphans.iter().any(|j| j.prefill_done > 0), "in flight");
+        assert!(
+            orphans.iter().any(|j| j.spec.arrival > e.now()),
+            "unarrived"
+        );
         let mut seen: Vec<u64> = outcomes
             .iter()
             .map(|o| o.spec.id.0)
@@ -908,24 +841,8 @@ mod tests {
             assert_eq!(o.disposition, Disposition::Completed);
             assert!(o.completion.is_some());
         }
-    }
-
-    #[test]
-    fn crash_before_any_work_orphans_everything() {
-        let mut e = engine_with(base_config().with_faults(ReplicaFaultProfile {
-            crash_at: Some(SimTime::ZERO),
-            windows: Vec::new(),
-        }));
-        for i in 0..5 {
-            e.submit(spec(i, 10 + i, 500, 20));
-        }
-        assert!(!e.step());
-        assert!(e.crashed());
-        let orphans = e.take_orphans();
-        assert_eq!(orphans.len(), 5);
-        assert!(orphans.iter().all(|j| j.prefill_done == 0 && !j.relegated));
-        assert!(e.take_outcomes().is_empty());
-        assert!(e.take_unarrived().is_empty());
+        assert_eq!(e.kv.held(), 0, "the KV died with the halt");
+        assert!(e.take_orphans().is_empty(), "the engine is empty");
     }
 
     #[test]
@@ -938,10 +855,8 @@ mod tests {
         };
         let mut healthy = engine_with(base_config());
         let mut slow = engine_with(base_config().with_faults(ReplicaFaultProfile {
-            crash_at: None,
             windows: vec![window],
         }));
-        assert_eq!(slow.state(), ReplicaState::Degraded);
         for e in [&mut healthy, &mut slow] {
             for i in 0..6 {
                 e.submit(spec(i, 0, 1_500, 60));
@@ -972,7 +887,6 @@ mod tests {
         };
         let mut healthy = engine_with(base_config());
         let mut slow = engine_with(base_config().with_faults(ReplicaFaultProfile {
-            crash_at: None,
             windows: vec![window],
         }));
         for e in [&mut healthy, &mut slow] {
@@ -993,22 +907,16 @@ mod tests {
             bad.mean_latency_ratio
         );
         assert!(bad.score() < 0.5, "degraded replica must score low");
-        assert!(
-            bad.drain_velocity_tokens_per_sec < good.drain_velocity_tokens_per_sec,
-            "a straggler drains slower"
-        );
-        assert_eq!(bad.window as u64, bad.iterations.min(32));
+        assert_eq!(bad.window as u64, slow.iterations().min(32));
     }
 
     #[test]
     fn health_snapshot_before_any_iteration_is_nominal() {
-        let e = engine_with(base_config().with_replica_id(9));
+        let e = engine_with(base_config());
         let snap = e.health();
-        assert_eq!(snap.replica_id, 9);
         assert_eq!(snap.window, 0);
         assert_eq!(snap.score(), 1.0);
         assert_eq!(snap.queue_tokens, 0);
-        assert_eq!(snap.pending_prefills, 0);
     }
 
     #[test]
@@ -1026,10 +934,7 @@ mod tests {
             assert!(e.step());
         }
         e.begin_drain(SimTime::from_secs(600));
-        assert_eq!(e.state(), ReplicaState::Draining);
-        assert!(e.draining());
         while e.step() {}
-        assert!(!e.crashed());
 
         let orphans = e.take_orphans();
         let outcomes = e.take_outcomes();
@@ -1079,8 +984,7 @@ mod tests {
         let mut e = engine_with(base_config());
         e.begin_drain(SimTime::from_secs(1));
         assert!(!e.step());
-        assert!(!e.crashed());
-        assert_eq!(e.state(), ReplicaState::Draining);
+        assert_eq!(e.now(), SimTime::ZERO);
     }
 
     #[test]

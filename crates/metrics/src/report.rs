@@ -96,16 +96,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Formats a float with 2 decimal places for table cells.
-pub fn cell_f64(x: f64) -> String {
-    format!("{x:.2}")
-}
-
-/// Formats a percentage with 1 decimal place for table cells.
-pub fn cell_pct(x: f64) -> String {
-    format!("{x:.1}%")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,12 +137,5 @@ mod tests {
         assert!(t.is_empty());
         t.row(vec!["1".into()]);
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn cell_formatters() {
-        assert_eq!(cell_f64(1.2345), "1.23");
-        assert_eq!(cell_pct(99.95), "100.0%");
-        assert_eq!(cell_pct(0.0), "0.0%");
     }
 }

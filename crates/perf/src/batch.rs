@@ -87,9 +87,6 @@ impl BatchProfile {
             self.decode_context_total as f64,
         ]
     }
-
-    /// Number of features produced by [`features`](Self::features).
-    pub const NUM_FEATURES: usize = 4;
 }
 
 /// Builder for [`BatchProfile`].

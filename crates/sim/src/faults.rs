@@ -5,8 +5,9 @@
 //! [`SeedStream`] by label, so a `(seed, config)` pair always yields the
 //! same fault timeline, independent of execution order or thread count.
 //! The schedule is computed **a priori** over a horizon — faults are data,
-//! not side effects — which lets the cluster layer answer "which replicas
-//! are up at time t?" without simulating anything.
+//! not side effects. The cluster kernel hands each replica slot its crash
+//! timeline ([`FaultSchedule::crashes_for`]) and each engine its slowdown
+//! windows ([`FaultSchedule::profile_for`]).
 //!
 //! The fault taxonomy (see DESIGN.md, "Fault model"):
 //!
@@ -190,13 +191,11 @@ impl SlowWindow {
     }
 }
 
-/// The fault timeline of a single replica *generation*, consumed by the
-/// engine: at most one upcoming crash (the engine halts there; the
-/// recovery layer owns restarts) plus every slowdown window.
+/// The faults one replica's engine executes: its slowdown windows.
+/// Crashes belong to the cluster kernel, which halts and restarts the
+/// replica around them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReplicaFaultProfile {
-    /// The next crash, if any; the engine stops dead at this instant.
-    pub crash_at: Option<SimTime>,
     /// Latency-inflation windows (the engine applies whichever contain
     /// the iteration start).
     pub windows: Vec<SlowWindow>,
@@ -315,16 +314,10 @@ impl FaultSchedule {
             .collect()
     }
 
-    /// The engine-facing fault profile of one replica generation activated
-    /// at `from`: its next crash at or after `from`, plus every slowdown
-    /// window (windows before activation are harmless — containment checks
-    /// are by absolute time).
-    pub fn profile_for(&self, replica: u32, from: SimTime) -> ReplicaFaultProfile {
-        let crash_at = self
-            .crashes_for(replica)
-            .iter()
-            .map(|c| c.at)
-            .find(|&at| at >= from);
+    /// The engine-facing fault profile of one replica: every slowdown
+    /// window (containment checks are by absolute time, so one profile
+    /// serves every generation of the replica).
+    pub fn profile_for(&self, replica: u32) -> ReplicaFaultProfile {
         let windows = self
             .events
             .iter()
@@ -345,29 +338,7 @@ impl FaultSchedule {
                 FaultKind::Crash { .. } => None,
             })
             .collect();
-        ReplicaFaultProfile { crash_at, windows }
-    }
-
-    /// Whether `replica` is up (serving) at `t`: not inside any crash
-    /// outage. A crash with no restart keeps the replica down forever.
-    pub fn is_up_at(&self, replica: u32, t: SimTime) -> bool {
-        for c in self.crashes_for(replica) {
-            if c.at <= t {
-                match c.restart_at {
-                    None => return false,
-                    Some(r) if t < r => return false,
-                    Some(_) => {}
-                }
-            }
-        }
-        true
-    }
-
-    /// The sorted set of replicas up at `t`.
-    pub fn up_replicas_at(&self, t: SimTime) -> Vec<u32> {
-        (0..self.replicas)
-            .filter(|&r| self.is_up_at(r, t))
-            .collect()
+        ReplicaFaultProfile { windows }
     }
 }
 
@@ -465,12 +436,8 @@ mod tests {
     fn zero_rates_yield_empty_schedule() {
         let s = FaultSchedule::generate(&FaultConfig::none(), 4, horizon(), &SeedStream::new(1));
         assert!(s.is_empty());
-        assert!(s.is_up_at(0, SimTime::from_secs(100)));
-        assert_eq!(s.up_replicas_at(SimTime::from_secs(100)), vec![0, 1, 2, 3]);
-        assert_eq!(
-            s.profile_for(2, SimTime::ZERO),
-            ReplicaFaultProfile::healthy()
-        );
+        assert!(s.crashes_for(0).is_empty());
+        assert_eq!(s.profile_for(2), ReplicaFaultProfile::healthy());
     }
 
     #[test]
@@ -492,10 +459,7 @@ mod tests {
         let large = FaultSchedule::generate(&cfg, 4, horizon(), &seeds);
         for r in 0..2 {
             assert_eq!(small.crashes_for(r), large.crashes_for(r));
-            assert_eq!(
-                small.profile_for(r, SimTime::ZERO),
-                large.profile_for(r, SimTime::ZERO)
-            );
+            assert_eq!(small.profile_for(r), large.profile_for(r));
         }
     }
 
@@ -523,10 +487,6 @@ mod tests {
         let c = crashes[0];
         let restart = c.restart_at.expect("downtime configured");
         assert_eq!(restart, c.at + SimDuration::from_secs(60));
-        assert!(s.is_up_at(0, c.at.saturating_sub(SimDuration::from_micros(1))));
-        assert!(!s.is_up_at(0, c.at));
-        assert!(!s.is_up_at(0, c.at + SimDuration::from_secs(59)));
-        assert!(s.is_up_at(0, restart));
     }
 
     #[test]
@@ -538,11 +498,13 @@ mod tests {
         let s = FaultSchedule::generate(&cfg, 2, horizon(), &SeedStream::new(9));
         let crashes = s.crashes_for(0);
         assert_eq!(crashes.len(), 1, "a permanent crash ends the timeline");
-        assert!(!s.is_up_at(0, horizon().saturating_sub(SimDuration::from_micros(1))));
+        assert_eq!(crashes[0].restart_at, None);
     }
 
+    /// A restarted replica meets the next crash of its list, so none may
+    /// fall inside an outage: the generator resumes after the downtime.
     #[test]
-    fn profile_skips_crashes_before_activation() {
+    fn each_crash_follows_the_previous_restart() {
         let mut cfg = FaultConfig::none();
         cfg.crash_rate_per_hour = 6.0;
         cfg.restart_downtime = Some(SimDuration::from_secs(10));
@@ -550,14 +512,14 @@ mod tests {
         let s = FaultSchedule::generate(&cfg, 1, horizon(), &SeedStream::new(13));
         let crashes = s.crashes_for(0);
         assert!(crashes.len() >= 2, "need at least two crashes for the test");
-        let second_gen = s.profile_for(0, crashes[0].restart_at.expect("restarts on"));
-        assert_eq!(second_gen.crash_at, Some(crashes[1].at));
+        for pair in crashes.windows(2) {
+            assert!(pair[1].at >= pair[0].restart_at.expect("restarts on"));
+        }
     }
 
     #[test]
     fn slowdown_windows_compose() {
         let profile = ReplicaFaultProfile {
-            crash_at: None,
             windows: vec![
                 SlowWindow {
                     start: SimTime::from_secs(10),

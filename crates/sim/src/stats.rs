@@ -93,24 +93,9 @@ impl OnlineStats {
         }
     }
 
-    /// Sample variance (divides by `n - 1`); zero when fewer than two
-    /// observations.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn population_std_dev(&self) -> f64 {
         self.population_variance().sqrt()
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
     }
 
     /// The paper's over-approximation for unknown decode length:
@@ -200,7 +185,7 @@ mod tests {
     fn single_observation() {
         let s: OnlineStats = [5.0].into_iter().collect();
         assert_eq!(s.mean(), 5.0);
-        assert_eq!(s.sample_variance(), 0.0);
+        assert_eq!(s.population_variance(), 0.0);
         assert_eq!(s.min(), Some(5.0));
         assert_eq!(s.max(), Some(5.0));
     }
@@ -212,7 +197,6 @@ mod tests {
             .collect();
         assert_eq!(s.mean(), 5.0);
         assert!((s.population_variance() - 4.0).abs() < 1e-12);
-        assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
@@ -276,7 +260,6 @@ mod tests {
             let xs = vec_in(rng, -1e6, 1e6, 0..200);
             let s: OnlineStats = xs.iter().copied().collect();
             assert!(s.population_variance() >= 0.0);
-            assert!(s.sample_variance() >= 0.0);
         });
     }
 

@@ -69,21 +69,20 @@ impl TierMix {
         self.entries.iter().map(|(t, _)| t)
     }
 
-    /// Draws a tier according to the weights.
-    #[expect(
-        clippy::expect_used,
-        reason = "`new` asserts the mix is non-empty; the fall-through only catches float rounding past the last weight"
-    )]
+    /// Draws a tier according to the weights. A draw past every earlier
+    /// weight, float rounding included, is the last tier's (`new` asserts
+    /// the mix is non-empty).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> QosTier {
         let total: f64 = self.entries.iter().map(|(_, w)| w).sum();
         let mut x = rng.gen_range(0.0..total);
-        for (tier, w) in &self.entries {
+        let last = self.entries.len() - 1;
+        for (tier, w) in &self.entries[..last] {
             if x < *w {
                 return *tier;
             }
             x -= w;
         }
-        self.entries.last().expect("mix is non-empty").0
+        self.entries[last].0
     }
 }
 
