@@ -10,11 +10,14 @@
 //!
 //! 1. Replicas advance in sharded epochs: between barrier instants every
 //!    replica's steps are purely replica-local, so the kernel lets each
-//!    one advance independently (across `QOSERVE_THREADS` workers) up to
-//!    the next pending crash (`advance_to_barrier`), then falls back to
-//!    the min-now lockstep pick for the crash neighbourhood — a crash is
-//!    still observed before any survivor moves past it, and the step
-//!    order replayed around it is exactly the lockstep one.
+//!    one advance independently up to the next pending crash
+//!    (`Epochs::advance_to_barrier`), then falls back to the min-now
+//!    lockstep pick for the crash neighbourhood — a crash is still
+//!    observed before any survivor moves past it, and the step order
+//!    replayed around it is exactly the lockstep one. A run reads
+//!    `QOSERVE_THREADS` once and starts one worker set for all its
+//!    epochs; each epoch hands the set its runnable slots, and an epoch
+//!    with fewer than two runnable slots steps on the calling thread.
 //! 2. The lockstep pick handles a crash that is due at the picked slot's
 //!    engine clock instead of stepping it. The crash empties the engine
 //!    into orphans ([`OrphanedJob`](qoserve_engine::OrphanedJob)); each is
@@ -47,7 +50,7 @@
 
 use qoserve_engine::ReplicaEngine;
 use qoserve_sim::faults::{CrashEvent, FaultConfig};
-use qoserve_sim::{par_map, SimDuration, SimTime};
+use qoserve_sim::{SimDuration, SimTime, Workers};
 
 use crate::breaker::CircuitBreaker;
 
@@ -236,15 +239,60 @@ fn advance_replica(slot: &mut Slot, barrier: Option<SimTime>) {
     }
 }
 
-/// Phase one of the sharded kernel: every runnable replica advances to
-/// the barrier on [`par_map`] workers. Replica-local steps commute
-/// across replicas, so the merged state is bit-identical to stepping
-/// them serially at any `QOSERVE_THREADS`.
-pub(crate) fn advance_to_barrier(slots: &mut Vec<Slot>, barrier: Option<SimTime>) {
-    *slots = par_map(std::mem::take(slots), |_, mut slot| {
-        advance_replica(&mut slot, barrier);
-        slot
-    });
+/// A sharded epoch's task: one runnable slot and the barrier it advances
+/// to.
+pub(crate) type Advance = (Slot, Option<SimTime>);
+
+/// The job of a sharded run's worker set: one slot's epoch.
+pub(crate) fn advance(_: usize, (mut slot, barrier): Advance) -> Slot {
+    advance_replica(&mut slot, barrier);
+    slot
+}
+
+/// Phase one of the sharded kernel: the run's worker set (see
+/// [`with_workers`](qoserve_sim::with_workers)) and the buffers its
+/// epochs move slots through, kept across epochs so that an epoch
+/// allocates nothing once they have grown.
+pub(crate) struct Epochs<'w> {
+    workers: Workers<'w, Advance, Slot>,
+    tasks: Vec<(usize, Advance)>,
+    done: Vec<(usize, Slot)>,
+}
+
+impl<'w> Epochs<'w> {
+    pub(crate) fn new(workers: Workers<'w, Advance, Slot>) -> Self {
+        Epochs {
+            workers,
+            tasks: Vec::new(),
+            done: Vec::new(),
+        }
+    }
+
+    /// Every runnable slot advances to the barrier. With two or more
+    /// runnable slots and two or more workers, the runnable slots go to
+    /// the worker set and the parked ones wait in the buffer; otherwise
+    /// the calling thread steps them in place. Replica-local steps commute
+    /// across replicas, so the merged state is bit-identical to stepping
+    /// them serially at any thread count.
+    pub(crate) fn advance_to_barrier(&mut self, slots: &mut Vec<Slot>, barrier: Option<SimTime>) {
+        let runnable = slots.iter().filter(|s| !s.parked).count();
+        if runnable < 2 || self.workers.threads() < 2 {
+            for slot in slots.iter_mut() {
+                advance_replica(slot, barrier);
+            }
+            return;
+        }
+        for (i, slot) in slots.drain(..).enumerate() {
+            if slot.parked {
+                self.done.push((i, slot));
+            } else {
+                self.tasks.push((i, (slot, barrier)));
+            }
+        }
+        self.workers.run(self.tasks.drain(..), &mut self.done);
+        self.done.sort_unstable_by_key(|&(i, _)| i);
+        slots.extend(self.done.drain(..).map(|(_, slot)| slot));
+    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,9 @@
 //!   so fault injection is data, not nondeterministic side effects.
 //! * [`parallel::par_map`] runs independent seeded tasks across cores
 //!   (`QOSERVE_THREADS` overrides the worker count) while keeping output
-//!   order-preserving and bit-identical to serial execution.
+//!   order-preserving and bit-identical to serial execution, on the
+//!   scoped worker set [`parallel::with_workers`] starts, which the
+//!   cluster kernel keeps for a whole run.
 //! * [`json`](mod@json) is the codec for everything the workspace
 //!   persists (trace JSONL, stats streams, experiment rows),
 //!   [`rng::forall`] is the seeded property-test loop every crate's tests
@@ -76,7 +78,9 @@ pub use faults::{
     CrashEvent, FaultConfig, FaultEvent, FaultKind, FaultSchedule, ReplicaFaultProfile, SlowWindow,
 };
 pub use float::{cmp_f64, priority_micros, sort_f64};
-pub use parallel::{par_map, par_map_threads, par_max_passing, par_position, thread_limit};
+pub use parallel::{
+    par_map, par_map_threads, par_max_passing, par_position, thread_limit, with_workers, Workers,
+};
 pub use rand::seq::SliceRandom;
 pub use rand::{Rng, RngCore};
 pub use rng::{forall, mutate, SeedStream, SimRng};
