@@ -64,15 +64,10 @@ fn main() {
         predictor: PredictorKind::Analytical,
     };
     eprintln!("measuring per-class goodputs...");
-    // The two per-class measurements are independent — run them side by
-    // side (each one also parallelizes its own bracketing internally).
-    let per_class = par_map(
-        vec![(tier_50ms(), 50u64, 151u64), (tier_100ms(), 100u64, 152u64)],
-        |_, (tier, tbt_ms, seed)| {
-            goodput_for_mix(TierMix::single(tier), &poly_sched(tbt_ms), window, seed)
-        },
-    );
-    let (g_poly_50, g_poly_100) = (per_class[0], per_class[1]);
+    // The two per-class measurements run one after another, each search
+    // spreading its probes over every worker thread.
+    let g_poly_50 = goodput_for_mix(TierMix::single(tier_50ms()), &poly_sched(50), window, 151);
+    let g_poly_100 = goodput_for_mix(TierMix::single(tier_100ms()), &poly_sched(100), window, 152);
     eprintln!("  PolyServe per-replica goodput: 50ms class {g_poly_50:.1} QPS, 100ms class {g_poly_100:.1} QPS");
 
     let mut table = Table::new(vec![

@@ -48,22 +48,6 @@ fn main() {
         ]
     };
 
-    // The three deployments are independent seeded simulations — run them
-    // on the parallel harness (results are identical to running in order).
-    let scenarios: Vec<(&str, u32, Option<Vec<SiloGroup>>)> = vec![
-        ("Silo-(7,3,3)", 13, Some(silo(7, 3, 3))),
-        ("Silo-(6,2,2)", 10, Some(silo(6, 2, 2))),
-        ("QoServe-(10)", 10, None),
-    ];
-    let runs = par_map(scenarios, |_, (label, gpus, groups)| {
-        let outcomes = match &groups {
-            Some(groups) => run_siloed(&trace, groups, &config, &seeds),
-            None => run_shared(&trace, gpus, &SchedulerSpec::qoserve(), &config, &seeds),
-        };
-        eprintln!("  done: {label}");
-        (label, gpus, outcomes)
-    });
-
     let mut table = Table::new(vec![
         "scheme",
         "GPUs",
@@ -73,10 +57,21 @@ fn main() {
         "overall violations",
     ]);
     let mut rows = Vec::new();
-    for (label, gpus, outcomes) in &runs {
-        let report = SloReport::compute(outcomes, trace.long_prompt_threshold());
+    // The three deployments run one after another, each spreading its
+    // replicas over every worker thread.
+    for (label, gpus, groups) in [
+        ("Silo-(7,3,3)", 13, Some(silo(7, 3, 3))),
+        ("Silo-(6,2,2)", 10, Some(silo(6, 2, 2))),
+        ("QoServe-(10)", 10, None),
+    ] {
+        let outcomes = match &groups {
+            Some(groups) => run_siloed(&trace, groups, &config, &seeds),
+            None => run_shared(&trace, gpus, &SchedulerSpec::qoserve(), &config, &seeds),
+        };
+        eprintln!("  done: {label}");
+        let report = SloReport::compute(&outcomes, trace.long_prompt_threshold());
         table.row(vec![
-            (*label).to_owned(),
+            label.to_owned(),
             gpus.to_string(),
             format!("{:.2}", report.tier_summary(TierId::Q1).p99),
             format!("{:.2}", report.tier_summary(TierId::Q2).p99),
@@ -88,8 +83,8 @@ fn main() {
             "gpus": gpus,
             "qps": 35.0,
             "violation_pct": report.violation_pct(),
-            "p50_secs": overall_median_latency(outcomes),
-            "p95_secs": overall_p95_latency(outcomes),
+            "p50_secs": overall_median_latency(&outcomes),
+            "p95_secs": overall_p95_latency(&outcomes),
         }));
     }
     print!("{table}");
