@@ -95,10 +95,11 @@ impl Dispatcher {
 mod tests {
     use super::*;
     use crate::breaker::CircuitBreaker;
-    use crate::elastic::{serving, Phase};
+    use crate::elastic::serving;
+    use crate::lifecycle::Phase;
     use crate::recovery::tests::{is_up_at, slot};
     use qoserve_engine::{HealthRing, HealthSample, HealthSnapshot, HEALTH_WINDOW};
-    use qoserve_sim::faults::{FaultConfig, FaultSchedule};
+    use qoserve_sim::faults::{CrashEvent, FaultConfig};
     use qoserve_sim::{forall, Rng, SeedStream, SimDuration};
 
     /// The code the dispatcher replaced, kept as the reference it is
@@ -108,7 +109,8 @@ mod tests {
     /// router that placed held requests. The old selection also had a
     /// lifecycle stage of its own; its only caller passed no states, so
     /// it was the identity and is left out. The up-set is the schedule's
-    /// outage rule as it was ([`is_up_at`]) over every replica.
+    /// outage rule as it was ([`is_up_at`]) over every replica's crash
+    /// list.
     mod reference {
         use super::*;
 
@@ -178,7 +180,7 @@ mod tests {
 
         /// One orphan of the kernel's re-dispatch loop.
         pub(super) fn orphan(
-            schedule: &FaultSchedule,
+            crashes: &[Vec<CrashEvent>],
             states: &[State],
             fleet_size: u32,
             priority: Priority,
@@ -186,8 +188,8 @@ mod tests {
             rotation: &mut u64,
             at: SimTime,
         ) -> Option<(u32, bool)> {
-            let up: Vec<u32> = (0..schedule.replicas())
-                .filter(|&r| is_up_at(&schedule.crashes_for(r), at))
+            let up: Vec<u32> = (0..crashes.len() as u32)
+                .filter(|&r| is_up_at(&crashes[r as usize], at))
                 .filter(|&r| states.get(r as usize).is_none_or(|s| s.admits()))
                 .collect();
             let up_fraction = up.len() as f64 / fleet_size.max(1) as f64;
@@ -249,7 +251,7 @@ mod tests {
 
     /// Every held pick, orphan pick, shed and `diverted` flag equals the
     /// reference's over random fleets: slot phases (lost slots included),
-    /// crash schedules with and without restarts, breakers absent, closed,
+    /// drawn crash lists with and without restarts, breakers absent, closed,
     /// or open within or past their cooldown, random priorities, and
     /// interleaved held and orphan picks. Work is never
     /// stranded, every pick is serving (and up, for orphans), and a pick
@@ -268,12 +270,9 @@ mod tests {
                 max_crashes_per_replica: 8,
                 ..FaultConfig::none()
             };
-            let schedule = FaultSchedule::generate(
-                &faults,
-                n,
-                secs(60),
-                &SeedStream::new(rng.gen_range(0..1_000)),
-            );
+            let seeds = SeedStream::new(rng.gen_range(0..1_000));
+            let crashes: Vec<Vec<CrashEvent>> =
+                (0..n).map(|r| faults.draw(r, secs(60), &seeds).0).collect();
             let breakers: Vec<Option<CircuitBreaker>> = (0..n)
                 .map(|_| match rng.gen_range(0..4) {
                     0 => None,
@@ -285,10 +284,13 @@ mod tests {
                     }
                 })
                 .collect();
-            let slots: Vec<Slot> = (0..n)
-                .map(|r| slot(schedule.crashes_for(r), breakers[r as usize].clone()))
+            let slots: Vec<Slot> = (0..n as usize)
+                .map(|r| Slot {
+                    phase: phases[r],
+                    ..slot(crashes[r].clone(), breakers[r].clone())
+                })
                 .collect();
-            let serving = serving(&phases);
+            let serving = serving(&slots);
             let states = reference::states(&phases);
             assert_eq!(serving, reference::admitted(&states));
             let mut dispatcher = Dispatcher::default();
@@ -308,7 +310,7 @@ mod tests {
                 };
                 let placed = dispatcher.orphan(&serving, held_or_lost, priority, at, &slots);
                 let expected = reference::orphan(
-                    &schedule,
+                    &crashes,
                     &states,
                     held_or_lost,
                     priority,
@@ -321,7 +323,7 @@ mod tests {
                 let candidates: Vec<u32> = serving
                     .iter()
                     .copied()
-                    .filter(|&r| is_up_at(&schedule.crashes_for(r), at))
+                    .filter(|&r| is_up_at(&crashes[r as usize], at))
                     .collect();
                 let allows = |r: u32| breakers[r as usize].as_ref().is_none_or(|b| b.allows(at));
                 if priority == Priority::Important {

@@ -59,17 +59,17 @@ use std::collections::BTreeMap;
 
 use qoserve_engine::{OrphanedJob, ReplicaEngine};
 use qoserve_metrics::{Disposition, RequestOutcome};
-use qoserve_sim::faults::{CrashEvent, FaultSchedule};
+use qoserve_sim::faults::{CrashEvent, ReplicaFaultProfile};
 use qoserve_sim::nums;
 use qoserve_sim::{thread_limit, with_workers, SeedStream, SimDuration, SimTime};
 use qoserve_trace::{ControlObserver, FaultKind, ScaleDirection, TraceEvent, Tracer};
-use qoserve_workload::{Priority, RequestId, RequestSpec, TierId, Trace};
+use qoserve_workload::{RequestId, RequestSpec, TierId, Trace};
 
 use crate::autoscale::{AutoscaleController, AutoscaleDecision, ControlObservation};
 use crate::breaker::CircuitBreaker;
 use crate::deployment::{build_engine, ClusterConfig};
 use crate::dispatch::Dispatcher;
-use crate::lifecycle::{drain_victim, DrainCandidate, ElasticPlan, ScaleAction, ScaleEvent};
+use crate::lifecycle::{drain_victim, DrainCandidate, ElasticPlan, Phase, ScaleAction, ScaleEvent};
 use crate::recovery::{
     advance, pending_crash_barrier, Epochs, FaultPlan, FaultRunStats, Slot, RETRY_BACKOFF,
 };
@@ -93,40 +93,8 @@ pub struct ElasticRunResult {
     pub fleet: Vec<(SimTime, u32)>,
 }
 
-/// Where one slot is in the replica lifecycle, as the control plane
-/// sees it. Whether the replica is up is its slot's crash timeline's
-/// answer, not a phase: a serving slot may be crashed and restarting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Phase {
-    /// Unprovisioned slot (or retired replica); holds no capacity.
-    Idle,
-    /// Capacity allocated at `decided_at`; model load starts at
-    /// `warm_at`, serving starts at `up_at`.
-    Provisioning {
-        warm_at: SimTime,
-        up_at: SimTime,
-        decided_at: SimTime,
-    },
-    /// Model loading; serving starts at `up_at`.
-    Warming { up_at: SimTime, decided_at: SimTime },
-    /// Serving traffic (possibly crashed-and-restarting under faults).
-    Serving,
-    /// Admission stopped; running work finishes until `deadline`.
-    Draining { deadline: SimTime },
-    /// Crashed with no restart: holds no capacity, takes no work, and an
-    /// Add never reuses it.
-    Lost,
-}
-
-/// Mutable lifecycle state of the fleet, separate from the engine slots.
+/// The fleet-wide state of a run: what is not any one slot's.
 struct FleetState {
-    phases: Vec<Phase>,
-    /// When each slot's current provisioning began (replica-time accrual
-    /// anchor); `None` while idle.
-    provisioned_since: Vec<Option<SimTime>>,
-    /// Requests submitted to each slot and not yet resolved, split
-    /// `[important, low]` — the drain-victim signal.
-    outstanding: Vec<[u64; 2]>,
     /// Undelivered requests recalled from engines, awaiting dynamic
     /// dispatch, keyed by `(arrival, id)`: the requests due in a dispatch
     /// window, and those arrived by a tick, are a prefix of the map.
@@ -139,74 +107,47 @@ struct FleetState {
 }
 
 impl FleetState {
-    fn prio_ix(spec: &RequestSpec) -> usize {
-        usize::from(spec.priority() == Priority::Low)
-    }
-
-    /// `spec` was submitted to slot `r`.
-    fn admit(&mut self, r: usize, spec: &RequestSpec) {
-        self.outstanding[r][Self::prio_ix(spec)] += 1;
-    }
-
-    /// `spec` left slot `r`: resolved, orphaned, or recalled.
-    fn release(&mut self, r: usize, spec: &RequestSpec) {
-        let n = &mut self.outstanding[r][Self::prio_ix(spec)];
-        *n = n.saturating_sub(1);
-    }
-
-    /// Moves requests recalled from slot `r` into the held pool.
-    fn recall(&mut self, r: usize, specs: Vec<RequestSpec>) {
+    /// Moves requests recalled from `slot` into the held pool.
+    fn recall(&mut self, slot: &mut Slot, specs: Vec<RequestSpec>) {
         for spec in specs {
-            self.release(r, &spec);
+            slot.release(&spec);
             self.held.insert((spec.arrival, spec.id), spec);
         }
     }
 
-    /// Provisioned fleet size: every slot holding capacity, draining
-    /// included.
-    fn fleet_size(&self) -> u32 {
-        self.count(|p| !matches!(p, Phase::Idle | Phase::Lost))
-    }
-
-    /// The shed's denominator: the provisioned fleet plus the slots lost
-    /// to a crash, so that a permanent loss reads as lost capacity.
-    fn held_or_lost(&self) -> u32 {
-        self.count(|p| !matches!(p, Phase::Idle))
-    }
-
-    fn count(&self, pred: impl Fn(&Phase) -> bool) -> u32 {
-        nums::usize_to_u32(self.phases.iter().filter(|p| pred(p)).count())
-    }
-
-    fn log_fleet(&mut self, at: SimTime) {
-        let size = self.fleet_size();
+    /// Logs the provisioned fleet size of `slots` at `at` if it changed.
+    fn log_fleet(&mut self, at: SimTime, slots: &[Slot]) {
+        let size = fleet_size(slots);
         if self.fleet_log.last().map(|&(_, s)| s) != Some(size) {
             self.fleet_log.push((at, size));
         }
     }
+}
 
-    /// Stops replica-time accrual for slot `r` at `at`.
-    fn deprovision(&mut self, r: usize, at: SimTime) {
-        if let Some(since) = self.provisioned_since[r].take() {
-            self.replica_us += at.duration_since(since).as_micros();
-        }
-    }
+/// Provisioned fleet size: every slot holding capacity, draining
+/// included.
+fn fleet_size(slots: &[Slot]) -> u32 {
+    count(slots, |p| !matches!(p, Phase::Idle | Phase::Lost))
+}
 
-    fn retire(&mut self, r: usize, at: SimTime) {
-        self.phases[r] = Phase::Idle;
-        self.deprovision(r, at);
-        self.log_fleet(at);
-    }
+/// The shed's denominator: the provisioned fleet plus the slots lost to a
+/// crash, so that a permanent loss reads as lost capacity.
+fn held_or_lost(slots: &[Slot]) -> u32 {
+    count(slots, |p| !matches!(p, Phase::Idle))
+}
+
+fn count(slots: &[Slot], pred: impl Fn(&Phase) -> bool) -> u32 {
+    nums::usize_to_u32(slots.iter().filter(|s| pred(&s.phase)).count())
 }
 
 /// Slots in [`Phase::Serving`], ascending: where held requests and
 /// orphans go, the drain-victim candidates and the autoscaler's serving
 /// count.
-pub(crate) fn serving(phases: &[Phase]) -> Vec<u32> {
-    phases
+pub(crate) fn serving(slots: &[Slot]) -> Vec<u32> {
+    slots
         .iter()
         .enumerate()
-        .filter(|(_, p)| matches!(p, Phase::Serving))
+        .filter(|(_, s)| s.phase == Phase::Serving)
         .map(|(r, _)| nums::usize_to_u32(r))
         .collect()
 }
@@ -498,7 +439,7 @@ fn kernel_loop(
             }
         }
         debug_assert_eq!(
-            k.fleet.outstanding.iter().flatten().sum::<u64>()
+            k.slots.iter().flat_map(|s| s.outstanding).sum::<u64>()
                 + nums::usize_to_u64(k.fleet.held.len() + k.book.outcomes.len()),
             nums::usize_to_u64(requests),
             "every request is outstanding on one slot, held, or resolved"
@@ -517,7 +458,6 @@ struct Kernel<'a> {
     elastic: &'a ElasticPlan,
     seeds: &'a SeedStream,
     tracer: &'a Tracer,
-    schedule: FaultSchedule,
     schedule_horizon: SimTime,
     dispatch: Dispatcher,
     slots: Vec<Slot>,
@@ -536,9 +476,9 @@ struct Kernel<'a> {
 }
 
 impl<'a> Kernel<'a> {
-    /// Builds the fleet: the router's static assignment is submitted to
-    /// the first `replicas` slots, and slots up to the plan's ceiling
-    /// start idle.
+    /// Builds the fleet: each slot draws its replica's fault timeline, the
+    /// router's static assignment is submitted to the first `replicas`
+    /// slots, and slots up to the plan's ceiling start idle.
     #[expect(
         clippy::too_many_arguments,
         reason = "the run inputs the fleet is built from"
@@ -569,29 +509,7 @@ impl<'a> Kernel<'a> {
         let schedule_horizon = config
             .horizon
             .unwrap_or_else(|| trace.horizon() + SimDuration::from_secs(3_600));
-        // Slots beyond the initial fleet get fault timelines too; the
-        // per-(class, replica) seed streams keep the first `initial`
-        // timelines independent of the ceiling.
-        let schedule = FaultSchedule::generate(
-            &plan.faults,
-            max_replicas,
-            schedule_horizon,
-            &seeds.child("faults"),
-        );
         let fleet = FleetState {
-            phases: (0..max_replicas)
-                .map(|r| {
-                    if r < initial {
-                        Phase::Serving
-                    } else {
-                        Phase::Idle
-                    }
-                })
-                .collect(),
-            provisioned_since: (0..max_replicas)
-                .map(|r| (r < initial).then_some(SimTime::ZERO))
-                .collect(),
-            outstanding: vec![[0, 0]; nums::u32_to_usize(max_replicas)],
             held: BTreeMap::new(),
             dynamic: false,
             fleet_log: vec![(SimTime::ZERO, initial)],
@@ -613,7 +531,6 @@ impl<'a> Kernel<'a> {
             seeds,
             tracer,
             dispatch: Dispatcher::default(),
-            schedule,
             schedule_horizon,
             slots: Vec::new(),
             fleet,
@@ -629,37 +546,49 @@ impl<'a> Kernel<'a> {
             window: AttainmentWindow::default(),
             last_time: SimTime::ZERO,
         };
+        // Slots beyond the initial fleet get fault timelines too; each
+        // replica draws from its own seed streams, so the first `initial`
+        // timelines do not depend on the ceiling.
         k.slots = (0..max_replicas)
-            .map(|r| Slot {
-                engine: k.engine(r),
-                crashes: k.schedule.crashes_for(r),
-                next_crash: 0,
-                parked: r >= initial,
-                breaker: plan.breaker.then(|| {
-                    let mut b = CircuitBreaker::new();
-                    if tracer.enabled() {
-                        b.set_tracer(tracer.for_replica(r));
-                    }
-                    b
-                }),
+            .map(|r| {
+                let (crashes, profile) = plan.faults.draw(r, schedule_horizon, seeds);
+                let serving = r < initial;
+                Slot {
+                    engine: k.engine(r, &profile),
+                    crashes,
+                    next_crash: 0,
+                    profile,
+                    parked: !serving,
+                    phase: if serving { Phase::Serving } else { Phase::Idle },
+                    provisioned_since: serving.then_some(SimTime::ZERO),
+                    outstanding: [0, 0],
+                    breaker: plan.breaker.then(|| {
+                        let mut b = CircuitBreaker::new();
+                        if tracer.enabled() {
+                            b.set_tracer(tracer.for_replica(r));
+                        }
+                        b
+                    }),
+                }
             })
             .collect();
         for (spec, target) in trace.requests().iter().zip(targets) {
-            k.fleet.admit(target, spec);
-            k.slots[target].engine.submit(*spec);
+            let slot = &mut k.slots[target];
+            slot.admit(spec);
+            slot.engine.submit(*spec);
         }
         Ok(k)
     }
 
-    /// A fresh engine generation for slot `replica`, with the replica's
-    /// slowdown windows.
-    fn engine(&self, replica: u32) -> ReplicaEngine {
+    /// A fresh engine generation for slot `replica`, executing the
+    /// replica's slowdown windows.
+    fn engine(&self, replica: u32, profile: &ReplicaFaultProfile) -> ReplicaEngine {
         build_engine(
             self.scheduler,
             self.config,
             self.seeds,
             replica,
-            self.schedule.profile_for(replica),
+            profile.clone(),
             self.tracer,
         )
     }
@@ -669,7 +598,7 @@ impl<'a> Kernel<'a> {
     /// degraded iterations are counted here, and the last generation's at
     /// `finish`, so each generation counts once.
     fn restart(&mut self, r: usize) {
-        let fresh = self.engine(nums::usize_to_u32(r));
+        let fresh = self.engine(nums::usize_to_u32(r), &self.slots[r].profile);
         let old = std::mem::replace(&mut self.slots[r].engine, fresh);
         self.book.stats.degraded_iterations += old.degraded_iterations();
         self.slots[r].parked = true;
@@ -678,15 +607,10 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    /// The serving slots, ascending.
-    fn serving(&self) -> Vec<u32> {
-        serving(&self.fleet.phases)
-    }
-
     /// The next control instant: scheduled event, autoscaler tick,
     /// warm-up transition, or drain deadline — whichever is earliest.
     fn next_control(&self) -> Option<SimTime> {
-        let lifecycle = self.fleet.phases.iter().filter_map(|p| match *p {
+        let lifecycle = self.slots.iter().filter_map(|s| match s.phase {
             Phase::Provisioning { warm_at, .. } => Some(warm_at),
             Phase::Warming { up_at, .. } => Some(up_at),
             Phase::Draining { deadline } => Some(deadline),
@@ -706,10 +630,9 @@ impl<'a> Kernel<'a> {
         self.fleet.held.is_empty()
             && self.next_event >= self.scheduled.len()
             && self
-                .fleet
-                .phases
+                .slots
                 .iter()
-                .all(|p| matches!(p, Phase::Idle | Phase::Serving | Phase::Lost))
+                .all(|s| matches!(s.phase, Phase::Idle | Phase::Serving | Phase::Lost))
     }
 
     /// Processes the control instant `t`, every runnable clock being at
@@ -719,26 +642,26 @@ impl<'a> Kernel<'a> {
         // (1) Collect freshly completed outcomes so attainment and
         // outstanding counts are current.
         for r in 0..self.slots.len() {
-            if self.fleet.phases[r] != Phase::Lost {
+            if self.slots[r].phase != Phase::Lost {
                 self.collect_outcomes(r);
             }
         }
 
         // (2) Lifecycle transitions due at t, lowest slot first.
         for r in 0..self.slots.len() {
-            match self.fleet.phases[r] {
+            match self.slots[r].phase {
                 Phase::Provisioning {
                     warm_at,
                     up_at,
                     decided_at,
                 } if warm_at <= t => {
-                    self.fleet.phases[r] = Phase::Warming { up_at, decided_at };
+                    self.slots[r].phase = Phase::Warming { up_at, decided_at };
                 }
                 Phase::Warming { up_at, decided_at } if up_at <= t => {
                     self.restart(r);
                     let slot = &mut self.slots[r];
                     slot.next_crash = slot.crashes.partition_point(|c| c.at < up_at);
-                    self.fleet.phases[r] = Phase::Serving;
+                    slot.phase = Phase::Serving;
                     let warmup_us = up_at.duration_since(decided_at).as_micros();
                     self.book.stats.warmup_wasted_us += warmup_us;
                     if self.tracer.enabled() {
@@ -756,7 +679,7 @@ impl<'a> Kernel<'a> {
         // (3) Drain deadlines due at t: hand unfinished work to the
         // recovery path and retire the slot.
         for r in 0..self.slots.len() {
-            match self.fleet.phases[r] {
+            match self.slots[r].phase {
                 Phase::Draining { deadline } if deadline <= t => self.finish_drain(r, deadline),
                 _ => {}
             }
@@ -799,8 +722,9 @@ impl<'a> Kernel<'a> {
 
     /// Moves slot `r`'s finished outcomes into the book.
     fn collect_outcomes(&mut self, r: usize) {
-        for o in self.slots[r].engine.take_outcomes() {
-            self.fleet.release(r, &o.spec);
+        let slot = &mut self.slots[r];
+        for o in slot.engine.take_outcomes() {
+            slot.release(&o.spec);
             self.book.outcomes.push(o);
         }
     }
@@ -813,7 +737,7 @@ impl<'a> Kernel<'a> {
         self.collect_outcomes(r);
         orphans.sort_by_key(|j| j.spec.id);
         for o in &orphans {
-            self.fleet.release(r, &o.spec);
+            self.slots[r].release(&o.spec);
         }
         orphans
     }
@@ -840,11 +764,10 @@ impl<'a> Kernel<'a> {
         }
 
         let orphans = self.evacuate(idx);
-        if matches!(self.fleet.phases[idx], Phase::Draining { .. }) {
+        if matches!(self.slots[idx].phase, Phase::Draining { .. }) {
             // A crash preempts the drain: the slot retires early and the
             // scheduled restart (if any) is moot.
-            self.slots[idx].parked = true;
-            self.fleet.retire(idx, crash.at);
+            self.retire(idx, crash.at);
         } else if crash.restart_at.is_some() {
             self.book.stats.restarts += 1;
             self.restart(idx);
@@ -853,10 +776,11 @@ impl<'a> Kernel<'a> {
             // revives it, possibly after later control instants, so its
             // replica-time stops at the crash but the fleet log records
             // the loss at the latest instant processed.
-            self.slots[idx].parked = true;
-            self.fleet.phases[idx] = Phase::Lost;
-            self.fleet.deprovision(idx, crash.at);
-            self.fleet.log_fleet(self.last_time);
+            let slot = &mut self.slots[idx];
+            slot.parked = true;
+            slot.phase = Phase::Lost;
+            self.fleet.replica_us += slot.deprovision(crash.at);
+            self.fleet.log_fleet(self.last_time, &self.slots);
         }
         self.redispatch(orphans, crash.at, replica_id, false);
     }
@@ -866,10 +790,9 @@ impl<'a> Kernel<'a> {
     fn finish_drain(&mut self, r: usize, deadline: SimTime) {
         let orphans = self.evacuate(r);
         let deadline_hit = orphans.iter().any(|o| o.prefill_done > 0);
-        self.slots[r].parked = true;
         // Retire before re-dispatch so the drained replica is not
         // serving when its own orphans are placed.
-        self.fleet.retire(r, deadline);
+        self.retire(r, deadline);
         let replica_id = nums::usize_to_u32(r);
         let migrated = self.redispatch(orphans, deadline, replica_id, true);
         if self.tracer.enabled() {
@@ -884,6 +807,16 @@ impl<'a> Kernel<'a> {
         }
     }
 
+    /// Parks slot `r` and returns it to Idle at `at`, ending its
+    /// replica-time.
+    fn retire(&mut self, r: usize, at: SimTime) {
+        let slot = &mut self.slots[r];
+        slot.parked = true;
+        slot.phase = Phase::Idle;
+        self.fleet.replica_us += slot.deprovision(at);
+        self.fleet.log_fleet(at, &self.slots);
+    }
+
     /// Re-dispatches one batch of orphans. `anchor` is the crash instant
     /// or the drain deadline; `drain` switches on the drain-migration
     /// counters. Returns the number of orphans migrated by a drain.
@@ -894,8 +827,8 @@ impl<'a> Kernel<'a> {
         from_replica: u32,
         drain: bool,
     ) -> u32 {
-        let serving = self.serving();
-        let held_or_lost = self.fleet.held_or_lost();
+        let serving = serving(&self.slots);
+        let held_or_lost = held_or_lost(&self.slots);
         let plan = self.plan;
         let mut migrated = 0u32;
         for orphan in orphans {
@@ -957,12 +890,10 @@ impl<'a> Kernel<'a> {
                     },
                 );
             }
-            let target = nums::u32_to_usize(placed.slot);
-            self.fleet.admit(target, &orphan.spec);
-            self.slots[target]
-                .engine
-                .submit_at(orphan.spec, redispatch_at);
-            self.slots[target].parked = false;
+            let target = &mut self.slots[nums::u32_to_usize(placed.slot)];
+            target.admit(&orphan.spec);
+            target.engine.submit_at(orphan.spec, redispatch_at);
+            target.parked = false;
         }
         migrated
     }
@@ -975,26 +906,27 @@ impl<'a> Kernel<'a> {
     fn apply(&mut self, now: SimTime, action: ScaleAction, min_serving: u32) {
         if !self.fleet.dynamic {
             self.fleet.dynamic = true;
-            for r in 0..self.slots.len() {
-                if self.fleet.phases[r] != Phase::Lost {
-                    let unarrived = self.slots[r].engine.take_unarrived();
-                    self.fleet.recall(r, unarrived);
+            for slot in &mut self.slots {
+                if slot.phase != Phase::Lost {
+                    let unarrived = slot.engine.take_unarrived();
+                    self.fleet.recall(slot, unarrived);
                 }
             }
         }
         match action {
             ScaleAction::Add => {
-                let Some(r) = self.fleet.phases.iter().position(|p| *p == Phase::Idle) else {
+                let Some(r) = self.slots.iter().position(|s| s.phase == Phase::Idle) else {
                     return; // no free slot: the ceiling is the ceiling
                 };
-                let before = self.fleet.fleet_size();
+                let before = fleet_size(&self.slots);
                 let warm_at = now + self.elastic.lifecycle.provision_delay;
-                self.fleet.phases[r] = Phase::Provisioning {
+                let slot = &mut self.slots[r];
+                slot.phase = Phase::Provisioning {
                     warm_at,
                     up_at: warm_at + self.elastic.lifecycle.warmup,
                     decided_at: now,
                 };
-                self.fleet.provisioned_since[r] = Some(now);
+                slot.provisioned_since = Some(now);
                 self.book.stats.scale_ups += 1;
                 if self.tracer.enabled() {
                     self.tracer.for_replica(nums::usize_to_u32(r)).emit_at(
@@ -1007,14 +939,13 @@ impl<'a> Kernel<'a> {
                         },
                     );
                 }
-                self.fleet.log_fleet(now);
+                self.fleet.log_fleet(now, &self.slots);
             }
             ScaleAction::Drain => {
-                let candidates: Vec<DrainCandidate> = self
-                    .serving()
+                let candidates: Vec<DrainCandidate> = serving(&self.slots)
                     .into_iter()
                     .map(|replica| {
-                        let [important, low] = self.fleet.outstanding[nums::u32_to_usize(replica)];
+                        let [important, low] = self.slots[nums::u32_to_usize(replica)].outstanding;
                         DrainCandidate {
                             replica,
                             outstanding_important: important,
@@ -1028,13 +959,13 @@ impl<'a> Kernel<'a> {
                 let Some(victim) = drain_victim(&candidates) else {
                     return;
                 };
-                let r = nums::u32_to_usize(victim);
-                let before = self.fleet.fleet_size();
+                let before = fleet_size(&self.slots);
                 let deadline = now + self.elastic.lifecycle.drain_grace;
-                self.fleet.phases[r] = Phase::Draining { deadline };
-                self.slots[r].engine.begin_drain(deadline);
-                let unarrived = self.slots[r].engine.take_unarrived();
-                self.fleet.recall(r, unarrived);
+                let slot = &mut self.slots[nums::u32_to_usize(victim)];
+                slot.phase = Phase::Draining { deadline };
+                slot.engine.begin_drain(deadline);
+                let unarrived = slot.engine.take_unarrived();
+                self.fleet.recall(slot, unarrived);
                 self.book.stats.scale_downs += 1;
                 if self.tracer.enabled() {
                     let t = self.tracer.for_replica(victim);
@@ -1065,7 +996,7 @@ impl<'a> Kernel<'a> {
     /// schedule has no further control instant) over the serving set,
     /// earliest first. The requests left behind are not touched.
     fn dispatch_held(&mut self, now: SimTime, window_end: Option<SimTime>) {
-        let serving = self.serving();
+        let serving = serving(&self.slots);
         while let Some(due) = self.fleet.held.first_entry() {
             if window_end.is_some_and(|w| due.key().0 >= w) {
                 break;
@@ -1076,10 +1007,10 @@ impl<'a> Kernel<'a> {
                 break;
             };
             let spec = due.remove();
-            let t = nums::u32_to_usize(target);
-            self.fleet.admit(t, &spec);
-            self.slots[t].engine.submit_at(spec, now);
-            self.slots[t].parked = false;
+            let slot = &mut self.slots[nums::u32_to_usize(target)];
+            slot.admit(&spec);
+            slot.engine.submit_at(spec, now);
+            slot.parked = false;
         }
     }
 
@@ -1094,7 +1025,7 @@ impl<'a> Kernel<'a> {
             .map(|&(total, violated)| 1.0 - violated as f64 / total.max(1) as f64)
             .fold(1.0, f64::min);
 
-        let serving_set = self.serving();
+        let serving_set = serving(&self.slots);
         let mut queue_tokens: u64 = serving_set
             .iter()
             .map(|&r| {
@@ -1115,13 +1046,9 @@ impl<'a> Kernel<'a> {
             .map(|(_, s)| u64::from(s.total_tokens()))
             .sum::<u64>();
         let serving = nums::usize_to_u32(serving_set.len());
-        let warming = nums::usize_to_u32(
-            self.fleet
-                .phases
-                .iter()
-                .filter(|p| matches!(p, Phase::Provisioning { .. } | Phase::Warming { .. }))
-                .count(),
-        );
+        let warming = count(&self.slots, |p| {
+            matches!(p, Phase::Provisioning { .. } | Phase::Warming { .. })
+        });
         ControlObservation {
             attainment,
             queue_tokens_per_replica: queue_tokens / u64::from(serving.max(1)),
@@ -1180,8 +1107,8 @@ impl<'a> Kernel<'a> {
             .max()
             .unwrap_or(SimTime::ZERO)
             .max(self.last_time);
-        for r in 0..self.slots.len() {
-            self.fleet.deprovision(r, end);
+        for slot in &mut self.slots {
+            self.fleet.replica_us += slot.deprovision(end);
         }
         self.tracer.flush();
         if let Some(obs) = observer {

@@ -1,30 +1,42 @@
-//! Replica lifecycle: provisioning delays, warm-up, graceful drain, and
-//! deterministic scale schedules.
+//! Replica lifecycle: the phases of a cluster-kernel slot, provisioning
+//! delays, warm-up, graceful drain, and deterministic scale schedules.
 //!
-//! The elastic control plane extends the Up/Degraded/Down world of the
-//! fault-recovery layer with a full lifecycle:
+//! Every slot of the cluster kernel is in one lifecycle phase (`Phase`):
 //!
 //! ```text
-//! Provisioning ──▶ Warming ──▶ Up ──▶ Draining ──▶ Down
-//!   (capacity        (model     (serving;  (admission     (slot
-//!    allocated)       loading)   faults may  stopped;      reusable)
-//!                                 degrade)   decodes
-//!                                            finish to a
-//!                                            deadline)
+//!        Add                                            Drain
+//! Idle ───────▶ Provisioning ───▶ Warming ───▶ Serving ───────▶ Draining
+//!  ▲            (capacity         (model       (takes           (admission stopped;
+//!  │             allocated)        loading)     work)            decodes finish to
+//!  │                                              │              a deadline)
+//!  │                        crash with no restart │                  │
+//!  │                                              ▼                  │
+//!  │                                             Lost                │
+//!  └────────────────── at the deadline, or at a crash ──────────────┘
 //! ```
 //!
-//! * A scale-up decision allocates capacity, then waits
-//!   [`LifecycleConfig::provision_delay`] before the model starts
-//!   loading, and a further [`LifecycleConfig::warmup`] before the
+//! * A scale-up decision takes the lowest Idle slot, allocates capacity,
+//!   then waits [`LifecycleConfig::provision_delay`] before the model
+//!   starts loading, and a further [`LifecycleConfig::warmup`] before the
 //!   replica accepts any work. Warm-up elapsed before serving is the
 //!   `warmup_wasted_us` cost the autoscaler pays for every flap.
 //! * A scale-down decision picks a victim via [`drain_victim`] — the
 //!   serving replica carrying the *least important* outstanding work,
-//!   free-tier-heavy replicas first, mirroring the PR 3 shed ordering —
-//!   and drains it: admission stops immediately, queued-but-unarrived
-//!   work is recalled for re-routing, running decodes get
-//!   [`LifecycleConfig::drain_grace`] to finish, and whatever remains at
-//!   the deadline is handed to the existing orphan re-dispatch path.
+//!   free-tier-heavy replicas first, as the tier-aware shed lets
+//!   `Priority::Low` absorb capacity loss — and drains it: admission
+//!   stops immediately, queued-but-unarrived work is recalled for
+//!   re-routing, running decodes get [`LifecycleConfig::drain_grace`] to
+//!   finish, and whatever remains at the deadline is handed to the
+//!   orphan re-dispatch path. The slot is then Idle again, and a later
+//!   Add may reuse it; a crash while draining retires it early.
+//! * A crash with no restart leaves the slot Lost: it holds no capacity,
+//!   takes no work, and an Add never reuses it.
+//!
+//! Whether a replica is up is not a phase: its slot's crash timeline
+//! answers that. A Serving slot whose crash has a restart stays Serving:
+//! a fresh, empty engine generation replaces the crashed one, and orphans
+//! skip the slot until the restart instant. Slowdown windows degrade a
+//! serving replica without changing its phase.
 //!
 //! # Determinism rule for scale events
 //!
@@ -103,9 +115,9 @@ impl Default for ScaleChurnConfig {
 /// Draws a deterministic schedule of Add/Drain events over `horizon`.
 ///
 /// Event times are a Poisson process and the Add-vs-Drain coin is a
-/// fixed function of the same per-label stream, so — like
-/// `FaultSchedule::generate` — the schedule is a pure function of the
-/// seed and config.
+/// fixed function of the same per-label stream, so — like a replica's
+/// fault timeline ([`FaultConfig::draw`](qoserve_sim::FaultConfig::draw))
+/// — the schedule is a pure function of the seed and config.
 pub fn generate_scale_schedule(
     config: &ScaleChurnConfig,
     horizon: SimDuration,
@@ -165,6 +177,30 @@ impl ElasticPlan {
     pub fn none() -> Self {
         ElasticPlan::default()
     }
+}
+
+/// Where one kernel slot is in the replica lifecycle (see the module
+/// docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// Unprovisioned slot (or retired replica); holds no capacity.
+    Idle,
+    /// Capacity allocated at `decided_at`; model load starts at
+    /// `warm_at`, serving starts at `up_at`.
+    Provisioning {
+        warm_at: SimTime,
+        up_at: SimTime,
+        decided_at: SimTime,
+    },
+    /// Model loading; serving starts at `up_at`.
+    Warming { up_at: SimTime, decided_at: SimTime },
+    /// Serving traffic (possibly crashed-and-restarting under faults).
+    Serving,
+    /// Admission stopped; running work finishes until `deadline`.
+    Draining { deadline: SimTime },
+    /// Crashed with no restart: holds no capacity, takes no work, and an
+    /// Add never reuses it.
+    Lost,
 }
 
 /// Outstanding-work summary of one serving replica, used to pick the

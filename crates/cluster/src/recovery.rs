@@ -3,10 +3,10 @@
 //!
 //! The plain deployments in [`deployment`](crate::deployment) fix each
 //! request's replica once, at submission — fine while every replica
-//! lives. Under injected faults
-//! ([`FaultSchedule`](qoserve_sim::faults::FaultSchedule)) a crash strands
-//! everything in flight or queued on the dead replica, so the kernel
-//! replaces the static one-shot assignment with a recovery loop:
+//! lives. Under injected faults (each replica's timeline drawn by
+//! [`FaultConfig::draw`]) a crash strands everything in flight or queued
+//! on the dead replica, so the kernel replaces the static one-shot
+//! assignment with a recovery loop:
 //!
 //! 1. Replicas advance in sharded epochs: between barrier instants every
 //!    replica's steps are purely replica-local, so the kernel lets each
@@ -35,11 +35,12 @@
 //! 5. Crashed replicas with a configured downtime restart empty and
 //!    rejoin the rotation.
 //!
-//! Each replica's crashes have one owner, its kernel slot: the slot holds
-//! the replica's crash timeline from the fault schedule, knows which
-//! crash is next, and answers whether the replica is up at an instant
-//! for the dispatcher's orphan filter. The engine only executes; it never
-//! sees a crash.
+//! Each replica has one record, its kernel slot (`Slot`): the slot holds
+//! the replica's drawn fault timeline, knows which crash is next, and
+//! answers whether the replica is up at an instant for the dispatcher's
+//! orphan filter; it also holds the replica's lifecycle phase,
+//! replica-time anchor, outstanding requests and breaker. The engine only
+//! executes; it never sees a crash.
 //!
 //! Everything is deterministic: the fault timeline is derived from the
 //! seed alone, replica selection is a round-robin cursor, and backoff is
@@ -49,10 +50,12 @@
 //! bit-identical to [`run_shared`](crate::deployment::run_shared).
 
 use qoserve_engine::ReplicaEngine;
-use qoserve_sim::faults::{CrashEvent, FaultConfig};
+use qoserve_sim::faults::{CrashEvent, FaultConfig, ReplicaFaultProfile};
 use qoserve_sim::{SimDuration, SimTime, Workers};
+use qoserve_workload::{Priority, RequestSpec};
 
 use crate::breaker::CircuitBreaker;
+use crate::lifecycle::Phase;
 
 /// Linear backoff unit: attempt `n` is re-dispatched `n * RETRY_BACKOFF`
 /// after the crash or drain deadline.
@@ -156,23 +159,58 @@ pub struct FaultRunStats {
     pub warmup_wasted_us: u64,
 }
 
-/// One replica slot of the cluster kernel, and the one owner of its
-/// replica's crashes. The engine is replaced by a fresh generation after
-/// a restart; `crashes` is this replica's full crash timeline with
-/// `next_crash` indexing the upcoming one. The slot carries its breaker,
-/// so a sharded epoch moves both to one worker.
+/// One replica slot of the cluster kernel, and the one record of its
+/// replica: the engine generation serving now (replaced by a fresh one
+/// after a restart or a warm-up), the replica's fault timeline, its
+/// lifecycle phase, its replica-time anchor, its outstanding requests
+/// and its breaker. A sharded epoch moves the whole record to one worker.
 pub(crate) struct Slot {
     pub(crate) engine: ReplicaEngine,
+    /// The replica's crash timeline; `next_crash` indexes the upcoming
+    /// crash.
     pub(crate) crashes: Vec<CrashEvent>,
     pub(crate) next_crash: usize,
+    /// The slowdown windows every engine generation executes.
+    pub(crate) profile: ReplicaFaultProfile,
     /// Drained, restarting-and-empty or lost for good: skipped until new
     /// work arrives (a lost slot never gets any).
     pub(crate) parked: bool,
+    pub(crate) phase: Phase,
+    /// When the current provisioning began (replica-time accrual
+    /// anchor); `None` while the slot holds no capacity.
+    pub(crate) provisioned_since: Option<SimTime>,
+    /// Requests submitted to the slot and not yet resolved, split
+    /// `[important, low]` — the drain-victim signal.
+    pub(crate) outstanding: [u64; 2],
     /// This replica's circuit breaker, when the plan enables them.
     pub(crate) breaker: Option<CircuitBreaker>,
 }
 
 impl Slot {
+    /// `spec`'s entry in `outstanding`.
+    fn prio_ix(spec: &RequestSpec) -> usize {
+        usize::from(spec.priority() == Priority::Low)
+    }
+
+    /// `spec` was submitted to this slot.
+    pub(crate) fn admit(&mut self, spec: &RequestSpec) {
+        self.outstanding[Self::prio_ix(spec)] += 1;
+    }
+
+    /// `spec` left this slot: resolved, orphaned, or recalled.
+    pub(crate) fn release(&mut self, spec: &RequestSpec) {
+        let n = &mut self.outstanding[Self::prio_ix(spec)];
+        *n = n.saturating_sub(1);
+    }
+
+    /// Stops replica-time accrual at `at`: the microseconds provisioned
+    /// since the anchor, 0 without one.
+    pub(crate) fn deprovision(&mut self, at: SimTime) -> u64 {
+        self.provisioned_since
+            .take()
+            .map_or(0, |since| at.duration_since(since).as_micros())
+    }
+
     /// The upcoming crash, if the timeline has one left.
     pub(crate) fn upcoming_crash(&self) -> Option<CrashEvent> {
         self.crashes.get(self.next_crash).copied()
@@ -307,13 +345,13 @@ pub(crate) mod tests {
     use crate::spec::SchedulerSpec;
     use qoserve_metrics::{Disposition, RequestOutcome};
     use qoserve_perf::HardwareConfig;
-    use qoserve_sim::faults::{FaultSchedule, ReplicaFaultProfile};
+    use qoserve_sim::faults::ReplicaFaultProfile;
     use qoserve_sim::{forall, Rng, SeedStream};
     use qoserve_trace::Tracer;
     use qoserve_workload::{ArrivalProcess, Dataset, Trace, TraceBuilder};
 
-    /// `FaultSchedule::is_up_at` as it stood before the slots owned the
-    /// crash timeline, over one replica's crashes: the reference
+    /// The fault schedule's `is_up_at` as it stood before the slots owned
+    /// the crash timeline, over one replica's crashes: the reference
     /// `Slot::up_at` is checked against.
     pub(crate) fn is_up_at(crashes: &[CrashEvent], t: SimTime) -> bool {
         for c in crashes {
@@ -328,7 +366,8 @@ pub(crate) mod tests {
         true
     }
 
-    /// A parked slot with `crashes` and `breaker` around an empty engine.
+    /// A parked serving slot with `crashes` and `breaker` around an empty
+    /// engine.
     pub(crate) fn slot(crashes: Vec<CrashEvent>, breaker: Option<CircuitBreaker>) -> Slot {
         Slot {
             engine: build_engine(
@@ -341,15 +380,19 @@ pub(crate) mod tests {
             ),
             crashes,
             next_crash: 0,
+            profile: ReplicaFaultProfile::healthy(),
             parked: true,
+            phase: Phase::Serving,
+            provisioned_since: None,
+            outstanding: [0, 0],
             breaker,
         }
     }
 
-    /// A crash list drawn either from a random fault schedule (rates up
-    /// to 6,000 an hour, permanent, instant or timed restarts) or by hand
-    /// with zero-length outages and zero-length gaps: a crash landing on
-    /// the previous restart.
+    /// A crash list drawn either for a random replica under a random
+    /// fault configuration (rates up to 6,000 an hour, permanent, instant
+    /// or timed restarts) or by hand with zero-length outages and
+    /// zero-length gaps: a crash landing on the previous restart.
     fn random_crashes(rng: &mut impl Rng) -> Vec<CrashEvent> {
         let micros = SimDuration::from_micros;
         if rng.gen_bool(0.5) {
@@ -364,8 +407,9 @@ pub(crate) mod tests {
                 ..FaultConfig::none()
             };
             let seeds = SeedStream::new(rng.gen_range(0..1_000));
-            return FaultSchedule::generate(&faults, 1, SimTime::from_secs(60), &seeds)
-                .crashes_for(0);
+            return faults
+                .draw(rng.gen_range(0..8), SimTime::from_secs(60), &seeds)
+                .0;
         }
         let mut crashes = Vec::new();
         let mut at = SimTime::from_micros(rng.gen_range(0..3_000_000));

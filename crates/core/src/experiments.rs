@@ -22,12 +22,20 @@ use qoserve_perf::HardwareConfig;
 use qoserve_sim::{par_map, SeedStream, SimDuration};
 use qoserve_workload::{ArrivalProcess, Dataset, TierMix, Trace, TraceBuilder};
 
-/// Reads the experiment scale factor from `QOSERVE_SCALE` (default 1.0,
-/// clamped to `[0.05, 64]`).
+/// Reads the experiment scale factor from `QOSERVE_SCALE`: 1.0 when it is
+/// unset or not a number (`nan` included), otherwise clamped to
+/// `[0.05, 64]`.
 pub fn scale_factor() -> f64 {
-    std::env::var("QOSERVE_SCALE")
+    std::env::var("QOSERVE_SCALE").map_or(1.0, |v| parse_scale(&v))
+}
+
+/// A `QOSERVE_SCALE` value as a scale factor. `nan` parses as a number,
+/// and `f64::clamp` would pass it through, so it is rejected before the
+/// clamp.
+fn parse_scale(raw: &str) -> f64 {
+    raw.parse::<f64>()
         .ok()
-        .and_then(|v| v.parse::<f64>().ok())
+        .filter(|s| !s.is_nan())
         .unwrap_or(1.0)
         .clamp(0.05, 64.0)
 }
@@ -383,6 +391,21 @@ pub fn run_run(
 mod tests {
     use super::*;
     use qoserve_workload::TierId;
+
+    #[test]
+    fn parse_scale_falls_back_on_nan_and_clamps_infinities() {
+        for (raw, scale) in [
+            ("nan", 1.0),
+            ("NaN", 1.0),
+            ("inf", 64.0),
+            ("-inf", 0.05),
+            ("0", 0.05),
+            ("abc", 1.0),
+            ("2.5", 2.5),
+        ] {
+            assert_eq!(parse_scale(raw), scale, "QOSERVE_SCALE={raw}");
+        }
+    }
 
     #[test]
     fn scale_factor_defaults_to_one() {

@@ -97,8 +97,7 @@ pub mod prelude {
         SarathiScheduler, Scheduler, SlosServeScheduler,
     };
     pub use qoserve_sim::{
-        par_map, par_max_passing, thread_limit, FaultConfig, FaultSchedule, SeedStream,
-        SimDuration, SimTime,
+        par_map, par_max_passing, thread_limit, FaultConfig, SeedStream, SimDuration, SimTime,
     };
     pub use qoserve_workload::{
         ArrivalProcess, Dataset, Priority, QosClass, QosTier, RequestId, RequestSpec, Slo, TierId,

@@ -851,7 +851,6 @@ mod tests {
             start: SimTime::ZERO,
             end: SimTime::from_secs(100_000),
             factor: 2.0,
-            drift: false,
         };
         let mut healthy = engine_with(base_config());
         let mut slow = engine_with(base_config().with_faults(ReplicaFaultProfile {
@@ -883,7 +882,6 @@ mod tests {
             start: SimTime::ZERO,
             end: SimTime::from_secs(100_000),
             factor: 1.8,
-            drift: false,
         };
         let mut healthy = engine_with(base_config());
         let mut slow = engine_with(base_config().with_faults(ReplicaFaultProfile {

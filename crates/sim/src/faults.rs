@@ -1,13 +1,13 @@
-//! Deterministic fault schedules.
+//! Deterministic fault timelines.
 //!
 //! Fault injection follows the same contract as every other stochastic
 //! component of the simulator: all randomness derives from a
 //! [`SeedStream`] by label, so a `(seed, config)` pair always yields the
 //! same fault timeline, independent of execution order or thread count.
-//! The schedule is computed **a priori** over a horizon — faults are data,
-//! not side effects. The cluster kernel hands each replica slot its crash
-//! timeline ([`FaultSchedule::crashes_for`]) and each engine its slowdown
-//! windows ([`FaultSchedule::profile_for`]).
+//! A replica's timeline is drawn **a priori** over a horizon — faults are
+//! data, not side effects. [`FaultConfig::draw`] draws one replica's: the
+//! cluster kernel keeps its crashes in the replica's slot and hands its
+//! slowdown windows to every engine generation of the replica.
 //!
 //! The fault taxonomy (see DESIGN.md, "Fault model"):
 //!
@@ -21,65 +21,16 @@
 //!   drift between the predictor and the hardware.
 
 use crate::nums;
-use crate::rng::{exponential_gap_secs, SeedStream};
+use crate::rng::{exponential_gap_secs, SeedStream, SimRng};
 use crate::time::{SimDuration, SimTime};
 
 /// Safety cap on generated events per replica per fault class, so a
 /// pathological rate cannot allocate unbounded schedules.
 const MAX_EVENTS_PER_CLASS: usize = 4_096;
 
-/// One class of injected fault.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultKind {
-    /// Replica halt. `restart_after` is the downtime before the replica
-    /// comes back (empty); `None` means it never returns.
-    Crash {
-        /// Downtime before restart, if any.
-        restart_after: Option<SimDuration>,
-    },
-    /// Transient slowdown: iteration latency is multiplied by `factor`
-    /// while the window is open.
-    Straggler {
-        /// Window length.
-        duration: SimDuration,
-        /// Latency multiplier (> 1).
-        factor: f64,
-    },
-    /// Predictor drift: execution latency is biased by `bias` while the
-    /// scheduler's predictor keeps using its clean calibration.
-    PredictorDrift {
-        /// Window length.
-        duration: SimDuration,
-        /// Latency multiplier (> 1) hidden from the predictor.
-        bias: f64,
-    },
-}
-
-impl FaultKind {
-    /// Stable ordering rank used to make event sorting total.
-    fn rank(&self) -> u8 {
-        match self {
-            FaultKind::Crash { .. } => 0,
-            FaultKind::Straggler { .. } => 1,
-            FaultKind::PredictorDrift { .. } => 2,
-        }
-    }
-}
-
-/// One scheduled fault on one replica.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultEvent {
-    /// When the fault fires.
-    pub at: SimTime,
-    /// The replica it hits.
-    pub replica: u32,
-    /// What happens.
-    pub kind: FaultKind,
-}
-
 /// Rates and shapes of the injected faults. All rates are per replica and
 /// per simulated hour; a rate of zero disables that fault class, and
-/// [`FaultConfig::none`] disables everything (the resulting schedule is
+/// [`FaultConfig::none`] disables everything (every replica's timeline is
 /// empty, and fault-aware runs are bit-identical to fault-free ones).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
@@ -154,12 +105,109 @@ impl FaultConfig {
             ..self.clone()
         }
     }
+
+    /// Draws the fault timeline of `replica` over `[0, horizon)` from the
+    /// run's `seeds`: its crashes in time order, and its slowdown windows
+    /// ordered by start (a straggler window before a drift window that
+    /// opens at the same instant).
+    ///
+    /// Each fault class draws from its own stream of
+    /// `seeds.child("faults")`, indexed by the replica
+    /// ([`SeedStream::derive_indexed`]), so a replica's timeline never
+    /// depends on how many replicas the fleet has or on the other
+    /// classes' rates, and the same `(seeds, config, replica, horizon)`
+    /// always draws the identical timeline.
+    pub fn draw(
+        &self,
+        replica: u32,
+        horizon: SimTime,
+        seeds: &SeedStream,
+    ) -> (Vec<CrashEvent>, ReplicaFaultProfile) {
+        let seeds = seeds.child("faults");
+        let starts = |label, rate, cap, pause| {
+            let stream = seeds.derive_indexed(label, u64::from(replica));
+            poisson_starts(stream, rate, cap, pause, horizon.as_secs_f64())
+        };
+        let crash_cap = nums::u32_to_usize(self.max_crashes_per_replica).min(MAX_EVENTS_PER_CLASS);
+        // The replica is down for the outage, so the next crash can only
+        // hit the restarted instance; a permanent loss ends the list.
+        let crashes = starts(
+            "fault-crash",
+            self.crash_rate_per_hour,
+            crash_cap,
+            self.restart_downtime,
+        )
+        .into_iter()
+        .map(|at| CrashEvent {
+            at,
+            restart_at: self.restart_downtime.map(|d| at + d),
+        })
+        .collect();
+        let classes = [
+            (
+                "fault-straggler",
+                self.straggler_rate_per_hour,
+                self.straggler_duration,
+                self.straggler_factor,
+            ),
+            (
+                "fault-drift",
+                self.drift_rate_per_hour,
+                self.drift_duration,
+                self.drift_bias,
+            ),
+        ];
+        let mut windows = Vec::new();
+        for (label, rate, duration, factor) in classes {
+            if duration.is_zero() || factor <= 1.0 {
+                continue;
+            }
+            // Windows of one class never overlap on a replica.
+            let class = starts(label, rate, MAX_EVENTS_PER_CLASS, Some(duration));
+            windows.extend(class.into_iter().map(|start| SlowWindow {
+                start,
+                end: start + duration,
+                factor,
+            }));
+        }
+        // Stable, so equal starts keep the straggler window first.
+        windows.sort_by_key(|w| w.start);
+        (crashes, ReplicaFaultProfile { windows })
+    }
 }
 
 impl Default for FaultConfig {
     fn default() -> Self {
         FaultConfig::none()
     }
+}
+
+/// Up to `cap` instants of a Poisson process of `rate_per_hour` before
+/// `horizon_secs`, drawn from `rng`. The process pauses for `pause` after
+/// each instant, or stops there without one.
+fn poisson_starts(
+    mut rng: SimRng,
+    rate_per_hour: f64,
+    cap: usize,
+    pause: Option<SimDuration>,
+    horizon_secs: f64,
+) -> Vec<SimTime> {
+    let mut starts = Vec::new();
+    if rate_per_hour <= 0.0 {
+        return starts;
+    }
+    let rate_per_sec = rate_per_hour / 3_600.0;
+    let mut t = 0.0;
+    for _ in 0..cap {
+        t += exponential_gap_secs(&mut rng, rate_per_sec);
+        if t >= horizon_secs {
+            break;
+        }
+        starts.push(SimTime::from_secs_f64(t));
+        let Some(pause) = pause else { break };
+        t += pause.as_secs_f64();
+    }
+    starts
 }
 
 /// One crash occurrence on a replica, as seen by the recovery layer.
@@ -180,8 +228,6 @@ pub struct SlowWindow {
     pub end: SimTime,
     /// Iteration-latency multiplier while open.
     pub factor: f64,
-    /// True for predictor-drift windows, false for stragglers.
-    pub drift: bool,
 }
 
 impl SlowWindow {
@@ -220,259 +266,331 @@ impl ReplicaFaultProfile {
     }
 }
 
-/// A fully materialised, deterministic fault timeline for a cluster.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultSchedule {
-    /// All events, sorted by `(at, replica, kind)`.
-    events: Vec<FaultEvent>,
-    /// Number of replicas the schedule was generated for.
-    replicas: u32,
-}
-
-impl FaultSchedule {
-    /// An empty schedule (no faults ever).
-    pub fn empty(replicas: u32) -> Self {
-        FaultSchedule {
-            events: Vec::new(),
-            replicas,
-        }
-    }
-
-    /// Generates the schedule for `replicas` replicas over `[0, horizon)`.
-    ///
-    /// Each `(fault class, replica)` pair draws from its own
-    /// [`SeedStream::derive_indexed`] stream, so adding replicas or fault
-    /// classes never perturbs the others, and the same `(seeds, config,
-    /// replicas, horizon)` always produces the identical timeline.
-    pub fn generate(
-        config: &FaultConfig,
-        replicas: u32,
-        horizon: SimTime,
-        seeds: &SeedStream,
-    ) -> Self {
-        let mut events: Vec<FaultEvent> = Vec::new();
-        if config.is_none() {
-            return FaultSchedule::empty(replicas);
-        }
-        let horizon_secs = horizon.as_secs_f64();
-        for replica in 0..replicas {
-            generate_crashes(config, replica, horizon_secs, seeds, &mut events);
-            generate_windows(
-                "fault-straggler",
-                config.straggler_rate_per_hour,
-                config.straggler_duration,
-                config.straggler_factor,
-                false,
-                replica,
-                horizon_secs,
-                seeds,
-                &mut events,
-            );
-            generate_windows(
-                "fault-drift",
-                config.drift_rate_per_hour,
-                config.drift_duration,
-                config.drift_bias,
-                true,
-                replica,
-                horizon_secs,
-                seeds,
-                &mut events,
-            );
-        }
-        events.sort_by_key(|e| (e.at, e.replica, e.kind.rank()));
-        FaultSchedule { events, replicas }
-    }
-
-    /// All scheduled events, sorted by time.
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// True when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Number of replicas the schedule covers.
-    pub fn replicas(&self) -> u32 {
-        self.replicas
-    }
-
-    /// The crash timeline of one replica, in time order.
-    pub fn crashes_for(&self, replica: u32) -> Vec<CrashEvent> {
-        self.events
-            .iter()
-            .filter(|e| e.replica == replica)
-            .filter_map(|e| match e.kind {
-                FaultKind::Crash { restart_after } => Some(CrashEvent {
-                    at: e.at,
-                    restart_at: restart_after.map(|d| e.at + d),
-                }),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// The engine-facing fault profile of one replica: every slowdown
-    /// window (containment checks are by absolute time, so one profile
-    /// serves every generation of the replica).
-    pub fn profile_for(&self, replica: u32) -> ReplicaFaultProfile {
-        let windows = self
-            .events
-            .iter()
-            .filter(|e| e.replica == replica)
-            .filter_map(|e| match e.kind {
-                FaultKind::Straggler { duration, factor } => Some(SlowWindow {
-                    start: e.at,
-                    end: e.at + duration,
-                    factor,
-                    drift: false,
-                }),
-                FaultKind::PredictorDrift { duration, bias } => Some(SlowWindow {
-                    start: e.at,
-                    end: e.at + duration,
-                    factor: bias,
-                    drift: true,
-                }),
-                FaultKind::Crash { .. } => None,
-            })
-            .collect();
-        ReplicaFaultProfile { windows }
-    }
-}
-
-/// Draws the crash timeline of one replica into `out`.
-fn generate_crashes(
-    config: &FaultConfig,
-    replica: u32,
-    horizon_secs: f64,
-    seeds: &SeedStream,
-    out: &mut Vec<FaultEvent>,
-) {
-    if config.crash_rate_per_hour <= 0.0 || config.max_crashes_per_replica == 0 {
-        return;
-    }
-    let rate_per_sec = config.crash_rate_per_hour / 3_600.0;
-    let mut rng = seeds.derive_indexed("fault-crash", u64::from(replica));
-    let mut t = 0.0;
-    let cap = nums::u32_to_usize(config.max_crashes_per_replica).min(MAX_EVENTS_PER_CLASS);
-    for _ in 0..cap {
-        t += exponential_gap_secs(&mut rng, rate_per_sec);
-        if t >= horizon_secs {
-            break;
-        }
-        out.push(FaultEvent {
-            at: SimTime::from_secs_f64(t),
-            replica,
-            kind: FaultKind::Crash {
-                restart_after: config.restart_downtime,
-            },
-        });
-        match config.restart_downtime {
-            // The replica is down for the outage; the next crash can only
-            // hit the restarted instance.
-            Some(downtime) => t += downtime.as_secs_f64(),
-            // Permanent loss: no further crashes are possible.
-            None => break,
-        }
-    }
-}
-
-/// Draws non-overlapping slowdown windows of one class for one replica.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "one call per window class, each with its own rate, duration, factor and drift flag"
-)]
-fn generate_windows(
-    label: &str,
-    rate_per_hour: f64,
-    duration: SimDuration,
-    factor: f64,
-    drift: bool,
-    replica: u32,
-    horizon_secs: f64,
-    seeds: &SeedStream,
-    out: &mut Vec<FaultEvent>,
-) {
-    if rate_per_hour <= 0.0 || duration.is_zero() || factor <= 1.0 {
-        return;
-    }
-    let rate_per_sec = rate_per_hour / 3_600.0;
-    let mut rng = seeds.derive_indexed(label, u64::from(replica));
-    let mut t = 0.0;
-    for _ in 0..MAX_EVENTS_PER_CLASS {
-        t += exponential_gap_secs(&mut rng, rate_per_sec);
-        if t >= horizon_secs {
-            break;
-        }
-        let kind = if drift {
-            FaultKind::PredictorDrift {
-                duration,
-                bias: factor,
-            }
-        } else {
-            FaultKind::Straggler { duration, factor }
-        };
-        out.push(FaultEvent {
-            at: SimTime::from_secs_f64(t),
-            replica,
-            kind,
-        });
-        // Windows of one class never overlap on a replica.
-        t += duration.as_secs_f64();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{forall, Rng};
+
+    /// The fleet-wide schedule the per-replica draw replaced, kept as the
+    /// reference [`FaultConfig::draw`] is checked against: `generate`
+    /// drew every replica's faults into one list sorted by `(at, replica,
+    /// kind)`, and `crashes_for` and `profile_for` filtered that list
+    /// again for each replica. Its windows also carried a drift flag that
+    /// nothing read; the flag is left out.
+    mod reference {
+        use super::*;
+
+        /// One class of injected fault.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum FaultKind {
+            Crash { restart_after: Option<SimDuration> },
+            Straggler { duration: SimDuration, factor: f64 },
+            PredictorDrift { duration: SimDuration, bias: f64 },
+        }
+
+        impl FaultKind {
+            /// Stable ordering rank used to make event sorting total.
+            fn rank(&self) -> u8 {
+                match self {
+                    FaultKind::Crash { .. } => 0,
+                    FaultKind::Straggler { .. } => 1,
+                    FaultKind::PredictorDrift { .. } => 2,
+                }
+            }
+        }
+
+        /// One scheduled fault on one replica.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        struct FaultEvent {
+            at: SimTime,
+            replica: u32,
+            kind: FaultKind,
+        }
+
+        /// A fully materialised fault timeline for a cluster.
+        pub(super) struct FaultSchedule {
+            /// All events, sorted by `(at, replica, kind)`.
+            events: Vec<FaultEvent>,
+        }
+
+        impl FaultSchedule {
+            /// The schedule for `replicas` replicas over `[0, horizon)`.
+            pub(super) fn generate(
+                config: &FaultConfig,
+                replicas: u32,
+                horizon: SimTime,
+                seeds: &SeedStream,
+            ) -> Self {
+                let mut events: Vec<FaultEvent> = Vec::new();
+                if config.is_none() {
+                    return FaultSchedule { events };
+                }
+                let horizon_secs = horizon.as_secs_f64();
+                for replica in 0..replicas {
+                    generate_crashes(config, replica, horizon_secs, seeds, &mut events);
+                    generate_windows(
+                        "fault-straggler",
+                        config.straggler_rate_per_hour,
+                        config.straggler_duration,
+                        config.straggler_factor,
+                        false,
+                        replica,
+                        horizon_secs,
+                        seeds,
+                        &mut events,
+                    );
+                    generate_windows(
+                        "fault-drift",
+                        config.drift_rate_per_hour,
+                        config.drift_duration,
+                        config.drift_bias,
+                        true,
+                        replica,
+                        horizon_secs,
+                        seeds,
+                        &mut events,
+                    );
+                }
+                events.sort_by_key(|e| (e.at, e.replica, e.kind.rank()));
+                FaultSchedule { events }
+            }
+
+            /// The crash timeline of one replica, in time order.
+            pub(super) fn crashes_for(&self, replica: u32) -> Vec<CrashEvent> {
+                self.events
+                    .iter()
+                    .filter(|e| e.replica == replica)
+                    .filter_map(|e| match e.kind {
+                        FaultKind::Crash { restart_after } => Some(CrashEvent {
+                            at: e.at,
+                            restart_at: restart_after.map(|d| e.at + d),
+                        }),
+                        _ => None,
+                    })
+                    .collect()
+            }
+
+            /// Every slowdown window of one replica.
+            pub(super) fn profile_for(&self, replica: u32) -> ReplicaFaultProfile {
+                let windows = self
+                    .events
+                    .iter()
+                    .filter(|e| e.replica == replica)
+                    .filter_map(|e| match e.kind {
+                        FaultKind::Straggler { duration, factor } => Some(SlowWindow {
+                            start: e.at,
+                            end: e.at + duration,
+                            factor,
+                        }),
+                        FaultKind::PredictorDrift { duration, bias } => Some(SlowWindow {
+                            start: e.at,
+                            end: e.at + duration,
+                            factor: bias,
+                        }),
+                        FaultKind::Crash { .. } => None,
+                    })
+                    .collect();
+                ReplicaFaultProfile { windows }
+            }
+        }
+
+        /// Draws the crash timeline of one replica into `out`.
+        fn generate_crashes(
+            config: &FaultConfig,
+            replica: u32,
+            horizon_secs: f64,
+            seeds: &SeedStream,
+            out: &mut Vec<FaultEvent>,
+        ) {
+            if config.crash_rate_per_hour <= 0.0 || config.max_crashes_per_replica == 0 {
+                return;
+            }
+            let rate_per_sec = config.crash_rate_per_hour / 3_600.0;
+            let mut rng = seeds.derive_indexed("fault-crash", u64::from(replica));
+            let mut t = 0.0;
+            let cap = nums::u32_to_usize(config.max_crashes_per_replica).min(MAX_EVENTS_PER_CLASS);
+            for _ in 0..cap {
+                t += exponential_gap_secs(&mut rng, rate_per_sec);
+                if t >= horizon_secs {
+                    break;
+                }
+                out.push(FaultEvent {
+                    at: SimTime::from_secs_f64(t),
+                    replica,
+                    kind: FaultKind::Crash {
+                        restart_after: config.restart_downtime,
+                    },
+                });
+                match config.restart_downtime {
+                    Some(downtime) => t += downtime.as_secs_f64(),
+                    None => break,
+                }
+            }
+        }
+
+        /// Draws non-overlapping slowdown windows of one class for one
+        /// replica.
+        #[expect(
+            clippy::too_many_arguments,
+            reason = "one call per window class, each with its own rate, duration, factor and drift flag"
+        )]
+        fn generate_windows(
+            label: &str,
+            rate_per_hour: f64,
+            duration: SimDuration,
+            factor: f64,
+            drift: bool,
+            replica: u32,
+            horizon_secs: f64,
+            seeds: &SeedStream,
+            out: &mut Vec<FaultEvent>,
+        ) {
+            if rate_per_hour <= 0.0 || duration.is_zero() || factor <= 1.0 {
+                return;
+            }
+            let rate_per_sec = rate_per_hour / 3_600.0;
+            let mut rng = seeds.derive_indexed(label, u64::from(replica));
+            let mut t = 0.0;
+            for _ in 0..MAX_EVENTS_PER_CLASS {
+                t += exponential_gap_secs(&mut rng, rate_per_sec);
+                if t >= horizon_secs {
+                    break;
+                }
+                let kind = if drift {
+                    FaultKind::PredictorDrift {
+                        duration,
+                        bias: factor,
+                    }
+                } else {
+                    FaultKind::Straggler { duration, factor }
+                };
+                out.push(FaultEvent {
+                    at: SimTime::from_secs_f64(t),
+                    replica,
+                    kind,
+                });
+                t += duration.as_secs_f64();
+            }
+        }
+    }
 
     fn horizon() -> SimTime {
         SimTime::from_secs(3_600)
     }
 
+    /// `replicas` timelines drawn from `seed`.
+    fn fleet(
+        cfg: &FaultConfig,
+        replicas: u32,
+        seed: u64,
+    ) -> Vec<(Vec<CrashEvent>, ReplicaFaultProfile)> {
+        (0..replicas)
+            .map(|r| cfg.draw(r, horizon(), &SeedStream::new(seed)))
+            .collect()
+    }
+
+    /// A random configuration: each class's rate zero or positive (up to
+    /// 100,000 an hour, enough to reach the per-class cap), permanent,
+    /// zero or timed downtime, crash caps from 0, and window lengths and
+    /// factors that disable their class (zero, at or below 1) or not.
+    fn random_config(rng: &mut impl Rng) -> FaultConfig {
+        let rates = [0.0, 3.0, 60.0, 3_600.0, 100_000.0];
+        let mut rate = || rates[rng.gen_range(0..rates.len())];
+        let (crash, straggler, drift) = (rate(), rate(), rate());
+        let mut duration = || match rng.gen_range(0..4) {
+            0 => SimDuration::ZERO,
+            1 => SimDuration::from_micros(rng.gen_range(1..1_000)),
+            _ => SimDuration::from_micros(rng.gen_range(1..60_000_000)),
+        };
+        let (straggler_duration, drift_duration) = (duration(), duration());
+        let restart_downtime = match rng.gen_range(0..3) {
+            0 => None,
+            1 => Some(SimDuration::ZERO),
+            _ => Some(SimDuration::from_micros(rng.gen_range(1..60_000_000))),
+        };
+        let factors = [0.5, 1.0, 1.15, 4.0];
+        FaultConfig {
+            crash_rate_per_hour: crash,
+            restart_downtime,
+            max_crashes_per_replica: [0, 1, 8, u32::MAX][rng.gen_range(0..4)],
+            straggler_rate_per_hour: straggler,
+            straggler_duration,
+            straggler_factor: factors[rng.gen_range(0..factors.len())],
+            drift_rate_per_hour: drift,
+            drift_duration,
+            drift_bias: factors[rng.gen_range(0..factors.len())],
+        }
+    }
+
+    /// Each replica's draw equals its crash list and profile, windows in
+    /// order, in the fleet-wide schedule it replaced, over random
+    /// configurations, fleets of 1–8 replicas, horizons up to two hours
+    /// and seeds.
+    #[test]
+    fn draws_match_the_schedule_they_replaced() {
+        forall(256, 26, |rng| {
+            let cfg = random_config(rng);
+            let replicas = rng.gen_range(1..=8u32);
+            let horizon = SimTime::from_micros(rng.gen_range(0..7_200_000_000));
+            let seeds = SeedStream::new(rng.gen());
+            let schedule =
+                reference::FaultSchedule::generate(&cfg, replicas, horizon, &seeds.child("faults"));
+            for r in 0..replicas {
+                let (crashes, profile) = cfg.draw(r, horizon, &seeds);
+                assert_eq!(crashes, schedule.crashes_for(r), "replica {r} of {cfg:?}");
+                assert_eq!(profile, schedule.profile_for(r), "replica {r} of {cfg:?}");
+            }
+        });
+    }
+
     #[test]
     fn zero_rates_yield_empty_schedule() {
-        let s = FaultSchedule::generate(&FaultConfig::none(), 4, horizon(), &SeedStream::new(1));
-        assert!(s.is_empty());
-        assert!(s.crashes_for(0).is_empty());
-        assert_eq!(s.profile_for(2), ReplicaFaultProfile::healthy());
+        for (crashes, profile) in fleet(&FaultConfig::none(), 4, 1) {
+            assert!(crashes.is_empty());
+            assert_eq!(profile, ReplicaFaultProfile::healthy());
+        }
     }
 
     #[test]
     fn generation_is_deterministic() {
         let cfg = FaultConfig::moderate();
-        let a = FaultSchedule::generate(&cfg, 3, horizon(), &SeedStream::new(7));
-        let b = FaultSchedule::generate(&cfg, 3, horizon(), &SeedStream::new(7));
-        assert_eq!(a, b);
-        assert!(!a.is_empty(), "moderate config over an hour must fault");
-        let c = FaultSchedule::generate(&cfg, 3, horizon(), &SeedStream::new(8));
-        assert_ne!(a, c, "different seeds must differ");
+        let a = fleet(&cfg, 3, 7);
+        assert_eq!(a, fleet(&cfg, 3, 7));
+        assert!(
+            a.iter()
+                .any(|(c, p)| !c.is_empty() || !p.windows.is_empty()),
+            "moderate config over an hour must fault"
+        );
+        assert_ne!(a, fleet(&cfg, 3, 8), "different seeds must differ");
     }
 
+    /// A replica's draw is its timeline in the replaced schedule of a
+    /// 2-replica fleet and of a 4-replica one alike.
     #[test]
     fn adding_replicas_preserves_existing_timelines() {
         let cfg = FaultConfig::moderate();
         let seeds = SeedStream::new(3);
-        let small = FaultSchedule::generate(&cfg, 2, horizon(), &seeds);
-        let large = FaultSchedule::generate(&cfg, 4, horizon(), &seeds);
+        let generate =
+            |n| reference::FaultSchedule::generate(&cfg, n, horizon(), &seeds.child("faults"));
+        let (small, large) = (generate(2), generate(4));
         for r in 0..2 {
-            assert_eq!(small.crashes_for(r), large.crashes_for(r));
-            assert_eq!(small.profile_for(r), large.profile_for(r));
+            let (crashes, profile) = cfg.draw(r, horizon(), &seeds);
+            for schedule in [&small, &large] {
+                assert_eq!(schedule.crashes_for(r), crashes);
+                assert_eq!(schedule.profile_for(r), profile);
+            }
         }
     }
 
     #[test]
     fn events_are_sorted_and_within_horizon() {
-        let cfg = FaultConfig::moderate();
-        let s = FaultSchedule::generate(&cfg, 4, horizon(), &SeedStream::new(11));
-        let events = s.events();
-        for pair in events.windows(2) {
-            assert!(pair[0].at <= pair[1].at, "events must be time-sorted");
+        for (crashes, profile) in fleet(&FaultConfig::moderate(), 4, 11) {
+            assert!(crashes.windows(2).all(|p| p[0].at <= p[1].at));
+            let windows = &profile.windows;
+            assert!(windows.windows(2).all(|p| p[0].start <= p[1].start));
+            assert!(crashes.iter().all(|c| c.at < horizon()));
+            assert!(windows.iter().all(|w| w.start < horizon()));
         }
-        assert!(events.iter().all(|e| e.at < horizon()));
-        assert!(events.iter().all(|e| e.replica < 4));
     }
 
     #[test]
@@ -481,8 +599,7 @@ mod tests {
         cfg.crash_rate_per_hour = 2.0;
         cfg.restart_downtime = Some(SimDuration::from_secs(60));
         cfg.max_crashes_per_replica = 8;
-        let s = FaultSchedule::generate(&cfg, 1, horizon(), &SeedStream::new(5));
-        let crashes = s.crashes_for(0);
+        let (crashes, _) = cfg.draw(0, horizon(), &SeedStream::new(5));
         assert!(!crashes.is_empty());
         let c = crashes[0];
         let restart = c.restart_at.expect("downtime configured");
@@ -495,8 +612,7 @@ mod tests {
         cfg.crash_rate_per_hour = 4.0;
         cfg.restart_downtime = None;
         cfg.max_crashes_per_replica = 8;
-        let s = FaultSchedule::generate(&cfg, 2, horizon(), &SeedStream::new(9));
-        let crashes = s.crashes_for(0);
+        let (crashes, _) = cfg.draw(0, horizon(), &SeedStream::new(9));
         assert_eq!(crashes.len(), 1, "a permanent crash ends the timeline");
         assert_eq!(crashes[0].restart_at, None);
     }
@@ -509,8 +625,7 @@ mod tests {
         cfg.crash_rate_per_hour = 6.0;
         cfg.restart_downtime = Some(SimDuration::from_secs(10));
         cfg.max_crashes_per_replica = 16;
-        let s = FaultSchedule::generate(&cfg, 1, horizon(), &SeedStream::new(13));
-        let crashes = s.crashes_for(0);
+        let (crashes, _) = cfg.draw(0, horizon(), &SeedStream::new(13));
         assert!(crashes.len() >= 2, "need at least two crashes for the test");
         for pair in crashes.windows(2) {
             assert!(pair[1].at >= pair[0].restart_at.expect("restarts on"));
@@ -525,13 +640,11 @@ mod tests {
                     start: SimTime::from_secs(10),
                     end: SimTime::from_secs(20),
                     factor: 2.0,
-                    drift: false,
                 },
                 SlowWindow {
                     start: SimTime::from_secs(15),
                     end: SimTime::from_secs(30),
                     factor: 1.5,
-                    drift: true,
                 },
             ],
         };
@@ -554,10 +667,11 @@ mod tests {
         let double = cfg.scaled(2.0);
         assert_eq!(double.crash_rate_per_hour, cfg.crash_rate_per_hour * 2.0);
         assert_eq!(double.straggler_duration, cfg.straggler_duration);
-        let n_at = |c: &FaultConfig, seed: u64| {
-            FaultSchedule::generate(c, 4, horizon(), &SeedStream::new(seed))
-                .events()
-                .len()
+        let n_at = |c: &FaultConfig, seed: u64| -> usize {
+            fleet(c, 4, seed)
+                .iter()
+                .map(|(crashes, profile)| crashes.len() + profile.windows.len())
+                .sum()
         };
         // Higher intensity produces at least as many events on average;
         // check a fixed seed where it strictly grows.

@@ -17,9 +17,10 @@
 //! * [`EventQueue`] is the replica engine's arrival queue: a binary heap
 //!   ordered by `(time, push order)`, so events at the same instant pop
 //!   in push order and simulations never depend on heap tie-breaking.
-//! * [`faults::FaultSchedule`] materialises a seed-derived fault timeline
-//!   (crashes, restarts, straggler and predictor-drift windows) a priori,
-//!   so fault injection is data, not nondeterministic side effects.
+//! * [`FaultConfig::draw`] draws one replica's seed-derived fault
+//!   timeline (crashes, restarts, straggler and predictor-drift windows)
+//!   a priori, so fault injection is data, not nondeterministic side
+//!   effects.
 //! * [`parallel::par_map`] runs independent seeded tasks across cores
 //!   (`QOSERVE_THREADS` overrides the worker count) while keeping output
 //!   order-preserving and bit-identical to serial execution, on the
@@ -74,9 +75,7 @@ pub mod stats;
 pub mod time;
 
 pub use events::EventQueue;
-pub use faults::{
-    CrashEvent, FaultConfig, FaultEvent, FaultKind, FaultSchedule, ReplicaFaultProfile, SlowWindow,
-};
+pub use faults::{CrashEvent, FaultConfig, ReplicaFaultProfile, SlowWindow};
 pub use float::{cmp_f64, priority_micros, sort_f64};
 pub use parallel::{
     par_map, par_map_threads, par_max_passing, par_position, thread_limit, with_workers, Workers,
